@@ -12,11 +12,20 @@
 // sequential grows linearly (3 models per complaint); the models_trained
 // counters report exactly that sharing.
 //
+// Every timed iteration opens a fresh session over a freshly prepared
+// dataset (setup untimed), so no iteration inherits aggregates or fitted
+// models from an earlier one. Calls run with the process-shared fit cache
+// off: the sequential arm then really is N independent queries, and the
+// only sharing measured is the batch's own.
+//
 // The Parallel sweep fixes the batch at the maximum size and sweeps the
 // per-call worker count over {1, 2, 4, 8} (REPTILE_FIG8_MAX_THREADS caps
 // it): model fits and per-complaint rankings fan out, so wall time drops
 // while models_trained (fits per batch) stays constant. Recommendations are
 // verified byte-identical across thread counts before the benchmarks run.
+//
+// The process exits non-zero unless every batched and parallel run fitted
+// exactly 3 models and every sequential run of N complaints fitted 3N.
 //
 // Exercises only the public api/ surface (no core/engine.h include);
 // common/env.h is shared benchmark-harness plumbing, not engine internals.
@@ -24,74 +33,52 @@
 #include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "benchmark/benchmark.h"
 #include "common/env.h"
+#include "datagen/panel_gen.h"
 #include "reptile/reptile.h"
 
 namespace reptile {
 namespace {
 
-constexpr int kDistricts = 12;
-constexpr int kVillages = 8;
 constexpr int kYears = 16;
-constexpr int kRowsPerGroup = 6;
+// An STD complaint decomposes into three primitives (COUNT, MEAN, STD), each
+// with its own model over the shared geo extension.
+constexpr int64_t kFitsPerBatch = 3;
 
-Dataset MakePanel() {
-  Table table;
-  int district = table.AddDimensionColumn("district");
-  int village = table.AddDimensionColumn("village");
-  int year = table.AddDimensionColumn("year");
-  int severity = table.AddMeasureColumn("severity");
-  uint64_t state = 8; /* deterministic LCG noise */
-  auto noise = [&state]() {
-    state = state * 6364136223846793005ull + 1442695040888963407ull;
-    return static_cast<double>(state >> 11) / 9007199254740992.0 - 0.5;
-  };
-  for (int d = 0; d < kDistricts; ++d) {
-    for (int v = 0; v < kVillages; ++v) {
-      std::string district_name = "d" + std::to_string(d);
-      std::string village_name = district_name + "_v" + std::to_string(v);
-      for (int y = 0; y < kYears; ++y) {
-        for (int r = 0; r < kRowsPerGroup; ++r) {
-          table.SetDim(district, district_name);
-          table.SetDim(village, village_name);
-          table.SetDim(year, "y" + std::to_string(y));
-          table.SetMeasure(severity, 5.0 + 0.4 * d + 0.25 * y + noise());
-          table.CommitRow();
-        }
-      }
-    }
-  }
-  Result<Dataset> dataset = Dataset::Make(
-      std::move(table), {{"geo", {"district", "village"}}, {"time", {"year"}}});
-  if (!dataset.ok()) {
-    std::fprintf(stderr, "panel setup failed: %s\n", dataset.status().ToString().c_str());
-    std::abort();
-  }
-  return std::move(dataset).value();
+const Dataset& Panel() {
+  static const Dataset& panel = *new Dataset([] {
+    PanelSpec spec;
+    spec.districts = 12;
+    spec.villages_per_district = 8;
+    spec.years = kYears;
+    spec.rows_per_group = 6;
+    return MakeSeverityPanel(spec);
+  }());
+  return panel;
 }
 
-// One long-lived session per benchmark; drill state: years committed, geo
-// drillable (every complaint shares the geo extension). STD complaints
-// decompose into three primitives (COUNT, MEAN, STD).
-Session& SharedSession() {
-  static Session& session = *new Session([] {
-    Result<Session> created = Session::Create(MakePanel());
-    if (!created.ok()) {
-      std::fprintf(stderr, "session setup failed: %s\n", created.status().ToString().c_str());
-      std::abort();
-    }
-    Status committed = created->Commit("time");
-    if (!committed.ok()) {
-      std::fprintf(stderr, "commit failed: %s\n", committed.ToString().c_str());
-      std::abort();
-    }
-    return std::move(created).value();
-  }());
-  return session;
+// A session over its own freshly prepared copy of the panel: empty aggregate
+// and fitted-model caches. Drill state: years committed, geo drillable
+// (every complaint shares the geo extension).
+Session FreshSession() {
+  Result<DatasetHandle> prepared = PreparedDataset::Prepare(Panel());
+  Result<Session> session =
+      prepared.ok() ? Session::Open(std::move(prepared).value()) : prepared.status();
+  Status committed = session.ok() ? session->Commit("time") : session.status();
+  if (!committed.ok()) {
+    std::fprintf(stderr, "session setup failed: %s\n", committed.ToString().c_str());
+    std::abort();
+  }
+  return std::move(session).value();
+}
+
+BatchOptions CallOptions(int threads) {
+  return BatchOptions().Threads(threads).Model(ModelSpec().FitCache(false));
 }
 
 std::vector<ComplaintSpec> MakeComplaints(int64_t n) {
@@ -104,14 +91,25 @@ std::vector<ComplaintSpec> MakeComplaints(int64_t n) {
   return complaints;
 }
 
+// Fit-count gate: every run whose models_trained differs from what Fig 8
+// predicts is recorded here and fails the process after the benchmarks.
+std::vector<std::string>& FitViolations() {
+  static std::vector<std::string> violations;
+  return violations;
+}
+int64_t g_fit_checks = 0;
+
+void CheckFits(const std::string& label, int64_t got, int64_t want) {
+  ++g_fit_checks;
+  if (got != want && FitViolations().size() < 20) {
+    FitViolations().push_back(label + ": models_trained=" + std::to_string(got) +
+                              ", expected " + std::to_string(want));
+  }
+}
+
 // Serialisation of a batch with the (legitimately scheduling-dependent)
-// timing fields zeroed, so results can be compared byte-for-byte. The fit
-// counters are cache temperature, not answers — the verify's first batch
-// fits the shared models and every later batch reuses them — so they are
-// zeroed along with the timings.
+// timing fields zeroed, so results can be compared byte-for-byte.
 std::string TimelessJson(BatchExploreResponse batch) {
-  batch.models_trained = 0;
-  batch.fit_cache_hits = 0;
   batch.train_seconds = 0.0;
   batch.wall_seconds = 0.0;
   for (ExploreResponse& response : batch.responses) {
@@ -127,24 +125,20 @@ std::string TimelessJson(BatchExploreResponse batch) {
 // swept thread count (the Section 5.1.2 requirement: parallelism changes the
 // schedule, never the answer).
 void VerifyIdenticalAcrossThreads(int64_t batch_size, int max_threads) {
-  Session& session = SharedSession();
   std::vector<ComplaintSpec> complaints = MakeComplaints(batch_size);
-  Result<BatchExploreResponse> reference =
-      session.RecommendAll(std::span<const ComplaintSpec>(complaints), BatchOptions().Threads(1));
-  if (!reference.ok()) {
-    std::fprintf(stderr, "verify failed: %s\n", reference.status().ToString().c_str());
-    std::abort();
-  }
-  std::string expected = TimelessJson(*reference);
-  for (int threads = 2; threads <= max_threads; threads *= 2) {
+  std::string expected;
+  for (int threads = 1; threads <= max_threads; threads *= 2) {
+    Session session = FreshSession();
     Result<BatchExploreResponse> batch = session.RecommendAll(
-        std::span<const ComplaintSpec>(complaints), BatchOptions().Threads(threads));
+        std::span<const ComplaintSpec>(complaints), CallOptions(threads));
     if (!batch.ok()) {
       std::fprintf(stderr, "verify failed at %d threads: %s\n", threads,
                    batch.status().ToString().c_str());
       std::abort();
     }
-    if (TimelessJson(*batch) != expected) {
+    if (threads == 1) {
+      expected = TimelessJson(*batch);
+    } else if (TimelessJson(*batch) != expected) {
       std::fprintf(stderr,
                    "verify failed: recommendations at %d threads differ from sequential\n",
                    threads);
@@ -156,37 +150,48 @@ void VerifyIdenticalAcrossThreads(int64_t batch_size, int max_threads) {
 }
 
 void BM_MultiQuery_Batched(benchmark::State& state) {
-  Session& session = SharedSession();
   std::vector<ComplaintSpec> complaints = MakeComplaints(state.range(0));
+  const std::string label = "Batched/" + std::to_string(state.range(0));
+  std::optional<Session> session;
   int64_t models = 0;
   for (auto _ : state) {
-    Result<BatchExploreResponse> batch = session.RecommendAll(
-        std::span<const ComplaintSpec>(complaints), BatchOptions().Threads(1));
+    state.PauseTiming();
+    session.reset();  // the previous iteration's teardown stays untimed too
+    session.emplace(FreshSession());
+    state.ResumeTiming();
+    Result<BatchExploreResponse> batch =
+        session->RecommendAll(std::span<const ComplaintSpec>(complaints), CallOptions(1));
     if (!batch.ok()) {
       state.SkipWithError(batch.status().ToString().c_str());
       return;
     }
     models = batch->models_trained;
+    CheckFits(label, models, kFitsPerBatch);
     benchmark::DoNotOptimize(batch);
   }
   state.counters["models_trained"] = static_cast<double>(models);
 }
 
 void BM_MultiQuery_Sequential(benchmark::State& state) {
-  Session& session = SharedSession();
   std::vector<ComplaintSpec> complaints = MakeComplaints(state.range(0));
+  const std::string label = "Sequential/" + std::to_string(state.range(0));
+  std::optional<Session> session;
   int64_t models = 0;
   for (auto _ : state) {
-    int64_t before = session.models_trained();
+    state.PauseTiming();
+    session.reset();  // the previous iteration's teardown stays untimed too
+    session.emplace(FreshSession());
+    state.ResumeTiming();
     for (const ComplaintSpec& complaint : complaints) {
-      Result<ExploreResponse> response = session.Recommend(complaint, BatchOptions().Threads(1));
+      Result<ExploreResponse> response = session->Recommend(complaint, CallOptions(1));
       if (!response.ok()) {
         state.SkipWithError(response.status().ToString().c_str());
         return;
       }
       benchmark::DoNotOptimize(response);
     }
-    models = session.models_trained() - before;
+    models = session->models_trained();
+    CheckFits(label, models, kFitsPerBatch * state.range(0));
   }
   state.counters["models_trained"] = static_cast<double>(models);
 }
@@ -195,15 +200,13 @@ void BM_MultiQuery_Sequential(benchmark::State& state) {
 // "speedup" counter is this run's wall time relative to the 1-thread run of
 // the same batch size (measured once up front, outside the timed loop).
 double SequentialBaselineSeconds(int64_t batch_size) {
-  Session& session = SharedSession();
   std::vector<ComplaintSpec> complaints = MakeComplaints(batch_size);
-  // Warm the drill-down caches, then take the best of three.
   double best = 0.0;
-  for (int rep = 0; rep < 4; ++rep) {
-    Result<BatchExploreResponse> batch = session.RecommendAll(
-        std::span<const ComplaintSpec>(complaints), BatchOptions().Threads(1));
+  for (int rep = 0; rep < 3; ++rep) {
+    Session session = FreshSession();
+    Result<BatchExploreResponse> batch =
+        session.RecommendAll(std::span<const ComplaintSpec>(complaints), CallOptions(1));
     if (!batch.ok()) return 0.0;
-    if (rep == 0) continue;
     if (best == 0.0 || batch->wall_seconds < best) best = batch->wall_seconds;
   }
   return best;
@@ -211,24 +214,31 @@ double SequentialBaselineSeconds(int64_t batch_size) {
 
 void BM_MultiQuery_Parallel(benchmark::State& state) {
   static std::map<int64_t, double> baseline;  // batch size -> 1-thread seconds
-  Session& session = SharedSession();
   int64_t batch_size = state.range(0);
   int threads = static_cast<int>(state.range(1));
   if (baseline.find(batch_size) == baseline.end()) {
     baseline[batch_size] = SequentialBaselineSeconds(batch_size);
   }
   std::vector<ComplaintSpec> complaints = MakeComplaints(batch_size);
+  const std::string label =
+      "Parallel/" + std::to_string(batch_size) + "/" + std::to_string(threads);
+  std::optional<Session> session;
   int64_t models = 0;
   double wall = 0.0;
   int64_t iters = 0;
   for (auto _ : state) {
-    Result<BatchExploreResponse> batch = session.RecommendAll(
-        std::span<const ComplaintSpec>(complaints), BatchOptions().Threads(threads));
+    state.PauseTiming();
+    session.reset();  // the previous iteration's teardown stays untimed too
+    session.emplace(FreshSession());
+    state.ResumeTiming();
+    Result<BatchExploreResponse> batch = session->RecommendAll(
+        std::span<const ComplaintSpec>(complaints), CallOptions(threads));
     if (!batch.ok()) {
       state.SkipWithError(batch.status().ToString().c_str());
       return;
     }
     models = batch->models_trained;
+    CheckFits(label, models, kFitsPerBatch);
     wall += batch->wall_seconds;
     ++iters;
     benchmark::DoNotOptimize(batch);
@@ -267,5 +277,19 @@ int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   reptile::RegisterAll();
   benchmark::RunSpecifiedBenchmarks();
+  for (const std::string& violation : reptile::FitViolations()) {
+    std::fprintf(stderr, "fig08 FAIL: %s\n", violation.c_str());
+  }
+  if (reptile::g_fit_checks == 0) {
+    std::fprintf(stderr, "fig08 FAIL: no benchmark iteration ran, fit counts unchecked\n");
+    return 1;
+  }
+  if (!reptile::FitViolations().empty()) return 1;
+  std::fprintf(stderr,
+               "fig08 fits: batched and parallel runs %lld per batch, sequential %lld per "
+               "complaint (%lld runs checked)\n",
+               static_cast<long long>(reptile::kFitsPerBatch),
+               static_cast<long long>(reptile::kFitsPerBatch),
+               static_cast<long long>(reptile::g_fit_checks));
   return 0;
 }

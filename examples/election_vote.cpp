@@ -29,7 +29,8 @@ int main() {
 
   Result<Session> session = Session::Create(
       std::move(georgia.dataset_missing),
-      ExploreRequest().TopK(8).RepairAlso("count"));  // repair total votes too
+      ExploreRequest().TopK(8).Model(
+          ModelSpec().RepairAlso(AggFn::kCount)));  // repair total votes too
   ExitOnError(session.status());
   AuxiliaryRequest share;
   share.name = "share2016";

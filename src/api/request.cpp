@@ -104,16 +104,6 @@ ExploreRequest& ExploreRequest::Model(ModelSpec spec) {
   return *this;
 }
 
-ExploreRequest& ExploreRequest::Model(std::string name) {
-  model = std::move(name);
-  return *this;
-}
-
-ExploreRequest& ExploreRequest::Backend(std::string name) {
-  backend = std::move(name);
-  return *this;
-}
-
 ExploreRequest& ExploreRequest::RandomEffects(std::string name) {
   random_effects = std::move(name);
   return *this;
@@ -121,16 +111,6 @@ ExploreRequest& ExploreRequest::RandomEffects(std::string name) {
 
 ExploreRequest& ExploreRequest::DrillCache(std::string name) {
   drill_cache = std::move(name);
-  return *this;
-}
-
-ExploreRequest& ExploreRequest::EmIterations(int iters) {
-  em_iterations = iters;
-  return *this;
-}
-
-ExploreRequest& ExploreRequest::RepairAlso(std::string aggregate) {
-  extra_repair_stats.push_back(std::move(aggregate));
   return *this;
 }
 
@@ -159,19 +139,8 @@ BatchOptions& BatchOptions::Model(ModelSpec spec) {
   return *this;
 }
 
-BatchOptions& BatchOptions::RepairAlso(std::string aggregate) {
-  if (!extra_repair_stats.has_value()) extra_repair_stats.emplace();
-  extra_repair_stats->push_back(std::move(aggregate));
-  return *this;
-}
-
 BatchOptions& BatchOptions::WithTrace(TraceContext* t) {
   trace = t;
-  return *this;
-}
-
-BatchOptions& BatchOptions::NoExtraRepairStats() {
-  extra_repair_stats.emplace();  // engaged and empty: override to none
   return *this;
 }
 
@@ -182,37 +151,8 @@ Result<EngineOptions> ExploreRequest::Resolve() const {
   }
   options.top_k = top_k;
 
-  if (model_spec.has_value()) {
-    // The first-class spec wins over the deprecated string knobs wholesale.
-    REPTILE_RETURN_IF_ERROR(model_spec->Validate());
-    options.model = *model_spec;
-  } else {
-    std::optional<ModelSpec::Kind> kind = ModelSpec::ParseKind(model);
-    if (!kind.has_value()) return UnknownOption("model", model, "multilevel, linear");
-    options.model.kind = *kind;
-
-    std::optional<ModelSpec::Backend> parsed_backend = ModelSpec::ParseBackend(backend);
-    if (!parsed_backend.has_value()) {
-      return UnknownOption("backend", backend, "auto, factorized, dense");
-    }
-    options.model.backend = *parsed_backend;
-
-    if (em_iterations <= 0) {
-      return Status::InvalidArgument("em_iterations must be positive, got " +
-                                     std::to_string(em_iterations));
-    }
-    options.model.em_iterations = em_iterations;
-
-    options.model.extra_repair_stats.clear();
-    for (const std::string& name : extra_repair_stats) {
-      std::optional<AggFn> fn = ParseAggFn(name);
-      if (!fn.has_value()) {
-        return Status::InvalidArgument("unknown extra repair statistic '" + name +
-                                       "' (expected one of count, sum, mean, std, var)");
-      }
-      options.model.extra_repair_stats.push_back(*fn);
-    }
-  }
+  REPTILE_RETURN_IF_ERROR(model_spec.Validate());
+  options.model = model_spec;
 
   if (random_effects == "intercepts") {
     options.random_effects = RandomEffects::kInterceptOnly;

@@ -212,9 +212,6 @@ Status Engine::ValidateModelSpec(const ModelSpec& spec) const {
 
 ModelSpec Engine::EffectiveModelSpec(const BatchOverrides& overrides) const {
   ModelSpec spec = overrides.model != nullptr ? *overrides.model : options_.model;
-  if (overrides.model == nullptr && overrides.extra_repair_stats != nullptr) {
-    spec.extra_repair_stats = *overrides.extra_repair_stats;
-  }
   if (spec.backend == ModelSpec::Backend::kAuto) {
     // kAuto picks factorised iff every feature is single-attribute, which is
     // statically certain unless a multi-attribute auxiliary is registered
@@ -274,7 +271,7 @@ std::vector<Recommendation> Engine::RecommendBatch(std::span<const Complaint> co
   if (num_threads == 0) num_threads = ThreadPool::DefaultThreads();
   const int top_k = overrides.top_k > 0 ? overrides.top_k : options_.top_k;
   // One resolved ModelSpec for the whole call: per-call override or engine
-  // option, legacy extra-stats override folded in, backend canonicalized.
+  // option, backend canonicalized.
   const ModelSpec spec = EffectiveModelSpec(overrides);
   const std::vector<AggFn>& extra_stats = spec.extra_repair_stats;
   ThreadPool* pool = PoolFor(num_threads);

@@ -76,8 +76,7 @@ enum class RandomEffects { kInterceptOnly, kAllFeatures };
 struct EngineOptions {
   int top_k = 5;
   // How models are trained: family, backend, EM caps, extra repair
-  // primitives, fitted-model-cache opt-out. This single spec subsumes the
-  // pre-ModelSpec knobs (EngineOptions::model/backend/em/extra_repair_stats).
+  // primitives, fitted-model-cache opt-out.
   ModelSpec model;
   RandomEffects random_effects = RandomEffects::kInterceptOnly;
   DrillDownState::Mode drill_mode = DrillDownState::Mode::kCacheDynamic;
@@ -102,15 +101,10 @@ struct BatchOverrides {
   int num_threads = 0;  // 0 = engine option; 1 = force sequential
   int top_k = 0;        // 0 = engine option
   // Complete per-call ModelSpec: nullptr = engine option. When set it
-  // replaces the engine's model configuration wholesale for this call
-  // (including extra_repair_stats — the legacy pointer below is ignored).
-  // The pointee is borrowed for the duration of the call.
+  // replaces the engine's model configuration wholesale for this call,
+  // extra_repair_stats included. The pointee is borrowed for the duration
+  // of the call.
   const ModelSpec* model = nullptr;
-  // Deprecated (subsumed by ModelSpec::extra_repair_stats): extra statistics
-  // frepair restores for this call only (Appendix N). nullptr = engine
-  // option; a pointer to an empty vector toggles extras off. Consulted only
-  // when `model` is null. The pointee is borrowed for the call.
-  const std::vector<AggFn>* extra_repair_stats = nullptr;
   // Per-request trace (obs/trace.h): when set, RecommendBatch records
   // plan/fit/rank stage spans (the fit span's detail carries the cache
   // hit/miss split) onto it. nullptr = untraced, zero recording overhead.
@@ -262,8 +256,7 @@ class Engine {
   Status ValidateModelSpec(const ModelSpec& spec) const;
 
   /// The ModelSpec a call with `overrides` would actually run: the per-call
-  /// spec (or the engine option) with the legacy extra-repair-stats override
-  /// folded in, kAuto canonicalized to the backend it will pick when that
+  /// spec (or the engine option) with kAuto canonicalized to the backend it will pick when that
   /// is statically known (every feature single-attribute — always true
   /// without multi-attribute auxiliaries), and RandomPolicy::kDefault
   /// resolved to the engine-level policy (EngineOptions::random_effects).

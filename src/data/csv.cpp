@@ -1,5 +1,6 @@
 #include "data/csv.h"
 
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -145,6 +146,13 @@ bool CsvStreamParser::ProcessDataRow(const std::string& line) {
         return Fail(Status::ParseError(origin_ + " row " + std::to_string(row_number_) +
                                        ", column '" + header_[f] + "': cannot parse '" +
                                        fields[f] + "' as a number"));
+      }
+      // nan/inf (and overflow to inf) parse, but every aggregate and model
+      // downstream would turn them into silent null statistics.
+      if (!std::isfinite(value)) {
+        return Fail(Status::ParseError(origin_ + " row " + std::to_string(row_number_) +
+                                       ", column '" + header_[f] + "': '" + fields[f] +
+                                       "' is not a finite number"));
       }
       table_.SetMeasure(column, value);
     }

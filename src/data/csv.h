@@ -78,7 +78,8 @@ class CsvStreamParser {
 /// other columns are ignored. Failures are reported precisely: kIoError when
 /// the file cannot be opened, kParseError with the 1-based data row number
 /// and offending column for malformed rows (wrong field count, non-numeric
-/// measure), kNotFound when a spec column is missing from the header.
+/// or non-finite measure such as nan/inf), kNotFound when a spec column is
+/// missing from the header.
 Result<Table> LoadCsv(const std::string& path, const CsvSpec& spec);
 
 /// Parses CSV from an in-memory string (same contract as LoadCsv) — the

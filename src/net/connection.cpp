@@ -12,7 +12,8 @@
 namespace reptile {
 
 namespace {
-// Same lingering-close bounds the thread-per-connection server uses.
+// Lingering-close bounds: how much of a refused request's remaining body is
+// drained (and for how long) before closing, so the client sees the error.
 constexpr size_t kMaxDrainBytes = 16 * 1024 * 1024;
 constexpr std::chrono::seconds kDrainDeadline{5};
 // Per-EPOLLIN fairness cap: after this many recv() calls yield the loop so
@@ -92,8 +93,7 @@ void Connection::HandleReadable() {
       return;
     }
     if (n == 0) {
-      // Orderly EOF — between requests or mid-request, the threaded server
-      // closes silently in both cases; match it.
+      // Orderly EOF — between requests or mid-request, close silently.
       Close();
       return;
     }
@@ -136,8 +136,7 @@ void Connection::AdvanceParser() {
             sink_ = std::move(sink);
             streamed_upload_ = true;
             // The stream position is unrecoverable if the sink aborts
-            // mid-body, so streamed uploads always close afterwards — the
-            // same policy as the threaded front end.
+            // mid-body, so streamed uploads always close afterwards.
             keep_alive_ = false;
             parser_.BeginStreamedBody(sink_.get(),
                                       server_->options_.max_stream_body_bytes);
@@ -333,8 +332,8 @@ void Connection::OnTick(std::chrono::steady_clock::time_point now) {
       const int idle = server_->options_.idle_timeout_seconds;
       if (idle > 0 && now - last_read_progress_ >= std::chrono::seconds(idle)) {
         if (state_ == State::kReadHead && reading_request_) {
-          // Slow-loris: a partial head past the deadline gets the 408 the
-          // threaded server sends; an idle keep-alive closes silently.
+          // Slow-loris: a partial head past the deadline gets a 408; an
+          // idle keep-alive closes silently.
           EnterDraining(HttpFramingError(408, "timed out reading the request"));
         } else {
           Close();

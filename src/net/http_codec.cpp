@@ -64,6 +64,10 @@ HttpResponse HttpFramingError(int status, const std::string& message) {
                   ",\"message\":" + JsonQuote(message) + "}}");
 }
 
+namespace {
+
+// Parses the head (request line + headers, `head` ends with CRLFCRLF). On
+// failure fills `error` with the response to send before closing.
 bool ParseHttpRequestHead(const std::string& head, HttpRequest* request,
                           HttpResponse* error) {
   size_t line_end = head.find("\r\n");
@@ -120,6 +124,9 @@ bool ParseHttpRequestHead(const std::string& head, HttpRequest* request,
   return true;
 }
 
+// Framing checks that need the parsed head. Body-size caps are NOT applied
+// here; they depend on how the body will be consumed (buffered vs streamed
+// into a sink).
 bool ValidateRequestFraming(const HttpRequest& request, size_t* content_length,
                             HttpResponse* error) {
   if (request.FindHeader("transfer-encoding") != nullptr) {
@@ -162,6 +169,8 @@ HttpResponse BodyTooLargeError(size_t content_length, size_t max_body_bytes) {
                                    " bytes exceeds the " +
                                    std::to_string(max_body_bytes) + "-byte limit");
 }
+
+}  // namespace
 
 HttpResponse RateLimitedError(double retry_after_seconds) {
   // Integral ceiling, floored at 1: Retry-After is delta-seconds (RFC 9110
@@ -216,13 +225,13 @@ void AppendHttpChunk(std::string* out, std::string_view piece) {
 }
 
 bool RequestKeepsAlive(const HttpRequest& request) {
-  bool keep_alive = request.http_version == "HTTP/1.1";
+  bool keeps_alive = request.http_version == "HTTP/1.1";
   if (const std::string* connection = request.FindHeader("connection")) {
     std::string value = Lowercase(*connection);
-    if (value == "close") keep_alive = false;
-    if (value == "keep-alive") keep_alive = true;
+    if (value == "close") keeps_alive = false;
+    if (value == "keep-alive") keeps_alive = true;
   }
-  return keep_alive;
+  return keeps_alive;
 }
 
 HttpRequestParser::HttpRequestParser(size_t max_header_bytes)
@@ -235,10 +244,10 @@ void HttpRequestParser::Feed(std::string_view data) {
 HttpRequestParser::Phase HttpRequestParser::Step() {
   switch (phase_) {
     case Phase::kHead: {
-      // Same scan the blocking reader uses: resume 3 bytes before the new
-      // data so a CRLFCRLF split across reads is still found, and apply the
-      // header cap both to an oversized terminated head and to an
-      // unterminated one that already exceeds the cap.
+      // Resume the scan 3 bytes before the new data so a CRLFCRLF split
+      // across reads is still found, and apply the header cap both to an
+      // oversized terminated head and to an unterminated one that already
+      // exceeds the cap.
       size_t pos = buffer_.find("\r\n\r\n", scanned_ >= 3 ? scanned_ - 3 : 0);
       if (pos == std::string::npos) {
         if (buffer_.size() > max_header_bytes_) {

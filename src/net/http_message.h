@@ -1,8 +1,7 @@
-// Transport-agnostic HTTP message types shared by every front end: the
-// thread-per-connection server (server/http_server.h), the epoll reactor
-// (net/reactor_server.h), and the in-tree client. The routing layer
-// (server/service.h) speaks only these types, so a handler cannot tell — and
-// must not care — which front end parsed its request.
+// Transport-agnostic HTTP message types shared by the epoll reactor
+// (net/reactor_server.h), the in-tree client, and the routing layer
+// (server/service.h), which speaks only these types — so a handler runs
+// the same whether its request came off a socket or was built in process.
 //
 // Bodies travel two ways:
 //  * Buffered (the default): HttpRequest::body / HttpResponse::body hold the

@@ -1,7 +1,7 @@
 // Minimal blocking HTTP/1.1 client over POSIX sockets — just enough to drive
 // the server from loopback integration tests and benchmarks without an
 // external dependency. Requests carry Content-Length; responses may be
-// Content-Length framed or chunked (the servers stream large bodies with
+// Content-Length framed or chunked (the server streams large bodies with
 // Transfer-Encoding: chunked — the client hands back the decoded body, so
 // callers never see the framing). Keep-alive: one TCP connection is reused
 // across requests and transparently re-established when the server closes

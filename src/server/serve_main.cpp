@@ -20,7 +20,7 @@
 //                         pre-committed, so year-scoped complaints work
 //                         out of the box)
 //   --port N              listen port (default 8080; 0 = ephemeral, printed)
-//   --http-threads N      connection workers (default 4)
+//   --http-threads N      compute workers behind the event loop (default 4)
 //   --engine-threads N    per-call engine fan-out (default 0 = hardware)
 //   --top-k N             groups returned per candidate (default 5)
 //   --max-body-bytes N    request body cap (default 8 MiB)
@@ -43,43 +43,36 @@
 //                         entries are evicted (default 0 = unlimited)
 //   --max-requests-per-connection N
 //                         close a keep-alive connection (with
-//                         "Connection: close") after N responses, both
-//                         front ends (default 0 = unlimited)
+//                         "Connection: close") after N responses
+//                         (default 0 = unlimited)
 //   --max-sessions N      cap on live per-client sessions (default 1024,
 //                         0 = unlimited; exceeding it is HTTP 409)
 //   --max-datasets N      cap on registered datasets (default 64, same deal)
-//   --reactor             serve with the epoll reactor front end
-//                         (net/reactor_server.h): 1 event thread owns every
-//                         connection, --http-threads compute workers, slow
-//                         clients cost KBs not threads. Default: the
-//                         thread-per-connection front end. Either way the
-//                         bodies on the wire are byte-identical.
 //   --auth-token T        require "Authorization: Bearer T" on mutating
 //                         routes (dataset/session create+delete, commit);
 //                         reads and /healthz stay open. Default: no auth.
 //   --stream-threshold N  stream recommend_batch bodies of >= N bytes
 //                         (chunked on HTTP/1.1) instead of buffering them
 //                         (default: off)
-//   --max-connections N   reactor only: 503 new connections past N open
+//   --max-connections N   503 new connections past N open
 //                         (default 0 = unlimited)
 //   --rate-limit-rps R    admission token bucket: past R requests/second
 //                         (sustained) API requests get 429 RATE_LIMITED with
-//                         Retry-After, both front ends; /healthz, /metricsz
+//                         Retry-After; /healthz, /metricsz
 //                         and streamed csv uploads are exempt (default 0 =
 //                         unlimited)
 //   --rate-limit-burst B  bucket depth for --rate-limit-rps: up to B
 //                         requests are admitted back-to-back before the
 //                         sustained rate applies (default 2*R)
 //   --queue-deadline-ms N shed work that waited > N ms behind busy workers
-//                         with 503 OVERLOADED instead of serving it late:
-//                         per-request in the reactor's handler queue,
-//                         per-connection in the threaded accept queue
+//                         with 503 OVERLOADED instead of serving it late,
+//                         per request; the connection stays open
 //                         (default 0 = never shed)
-//   --idle-timeout S      reactor only: drop connections idle > S seconds
+//   --idle-timeout S      drop connections idle > S seconds
 //                         (slow-loris bound; default 30, 0 = never)
-//   --write-stall S       reactor only: drop clients whose reads make no
+//   --write-stall S       drop clients whose reads make no
 //                         progress for S seconds (default 10, 0 = never)
-//   --high-water-bytes N  reactor only: per-connection write-queue cap;
+//   --high-water-bytes N  per-connection write-queue cap;
 //                         streamed responses pause above it (default 1 MiB)
 //   --log-level L         structured-log threshold: debug|info|warn|error|off
 //                         (default info; debug logs one JSON line per
@@ -92,10 +85,12 @@
 //                         GET /v1/debug/requests (bearer-gated when
 //                         --auth-token is set; default 0 = route disabled)
 //
-// In both modes POST /v1/datasets accepts a streamed text/csv body (typing
-// in the query string — see server/service.h) fed incrementally through
-// CsvStreamParser, and /healthz carries the front end's transport counters
-// under "transport" (both front ends; the reactor exports more of them).
+// The front end is the epoll reactor (net/reactor_server.h): one event
+// thread owns every connection and --http-threads compute workers run the
+// handlers, so an idle or slow client costs KBs, not a thread. POST
+// /v1/datasets accepts a streamed text/csv body (typing in the query string
+// — see server/service.h) fed incrementally through CsvStreamParser, and
+// /healthz carries the reactor's transport counters under "transport".
 //
 // Datasets loaded at startup (--demo / --csv) are registered in the shared
 // DatasetRegistry with a default session each (the deprecated
@@ -128,7 +123,6 @@
 #include "obs/build_info.h"
 #include "obs/log.h"
 #include "reptile/reptile.h"
-#include "server/http_server.h"
 #include "server/service.h"
 
 namespace reptile {
@@ -188,7 +182,6 @@ struct Args {
   long max_sessions = 1024;
   long max_datasets = 64;
   size_t max_body_bytes = 8 * 1024 * 1024;
-  bool reactor = false;
   std::string auth_token;
   size_t stream_threshold = SIZE_MAX;  // off
   long max_connections = 0;
@@ -211,7 +204,7 @@ struct Args {
                "[--port P] [--http-threads N] [--engine-threads N] [--top-k K] "
                "[--session-ttl S] [--dataset-root DIR] [--max-sessions N] "
                "[--max-datasets N] [--max-body-bytes N] [--separator C] "
-               "[--reactor] [--auth-token T] [--stream-threshold N] "
+               "[--auth-token T] [--stream-threshold N] "
                "[--max-connections N] [--rate-limit-rps R] "
                "[--rate-limit-burst B] [--queue-deadline-ms N] "
                "[--idle-timeout S] [--write-stall S] "
@@ -264,7 +257,7 @@ Args ParseArgs(int argc, char** argv) {
       }
       args.separator = s[0];
     } else if (flag == "--port") {
-      // Strict parse: HttpServer truncates the port through uint16_t, so a
+      // Strict parse: the server truncates the port through uint16_t, so a
       // typo'd or out-of-range value would silently bind a different port.
       std::string value = value_of(i);
       char* end = nullptr;
@@ -298,8 +291,6 @@ Args ParseArgs(int argc, char** argv) {
       args.max_datasets = std::atol(value_of(i).c_str());
     } else if (flag == "--max-body-bytes") {
       args.max_body_bytes = static_cast<size_t>(std::strtoull(value_of(i).c_str(), nullptr, 10));
-    } else if (flag == "--reactor") {
-      args.reactor = true;
     } else if (flag == "--auth-token") {
       args.auth_token = value_of(i);
     } else if (flag == "--stream-threshold") {
@@ -352,8 +343,8 @@ int Main(int argc, char** argv) {
     return 1;
   }
 
-  // Assigned once the chosen front end exists (below); the service's healthz
-  // hook dereferences it lazily, per request, so construction order is fine.
+  // Assigned once the front end exists (below); the service's healthz hook
+  // dereferences it lazily, per request, so construction order is fine.
   std::function<std::string()> transport_stats;
 
   ServiceOptions service_options;
@@ -368,9 +359,6 @@ int Main(int argc, char** argv) {
   service_options.slow_request_ms = args.slow_request_ms;
   service_options.debug_request_ring =
       args.debug_requests > 0 ? static_cast<size_t>(args.debug_requests) : 0;
-  // Both front ends export transport counters now (the threaded server grew
-  // a StatsJson for the admission-control counters), so the hook is
-  // unconditional.
   service_options.transport_stats_json = [&transport_stats] {
     return transport_stats ? transport_stats() : std::string("null");
   };
@@ -450,71 +438,44 @@ int Main(int argc, char** argv) {
     }
   }
 
-  HttpHandler handler = [&service](const HttpRequest& request) {
-    return service.Handle(request);
-  };
-  HttpStreamFactory stream_factory = [&service](const HttpRequest& head) {
-    return service.StartStreamingBody(head);
-  };
-
   // --rate-limit-burst defaults to two seconds of sustained rate: deep
   // enough that an interactive client's click-burst is admitted, shallow
   // enough that a flood hits the 429s within a second.
   double rate_limit_burst =
       args.rate_limit_burst > 0.0 ? args.rate_limit_burst : 2.0 * args.rate_limit_rps;
 
-  std::unique_ptr<HttpServer> threaded;
-  std::unique_ptr<ReactorServer> reactor;
-  Status started;
-  int port = 0;
-  if (args.reactor) {
-    ReactorServerOptions server_options;
-    server_options.port = args.port;
-    server_options.num_threads = args.http_threads;
-    server_options.max_body_bytes = args.max_body_bytes;
-    server_options.max_connections = args.max_connections;
-    server_options.idle_timeout_seconds = args.idle_timeout;
-    server_options.write_stall_seconds = args.write_stall;
-    server_options.write_high_water_bytes = args.high_water_bytes;
-    server_options.max_requests_per_connection = args.max_requests_per_connection;
-    server_options.rate_limit_rps = args.rate_limit_rps;
-    server_options.rate_limit_burst = rate_limit_burst;
-    server_options.queue_deadline_ms = args.queue_deadline_ms;
-    server_options.stream_factory = stream_factory;
-    reactor = std::make_unique<ReactorServer>(std::move(server_options), handler);
-    ReactorServer* raw = reactor.get();
-    transport_stats = [raw] { return raw->StatsJson(); };
-    started = reactor->Start();
-    port = reactor->port();
-  } else {
-    HttpServerOptions server_options;
-    server_options.port = args.port;
-    server_options.num_threads = args.http_threads;
-    server_options.max_body_bytes = args.max_body_bytes;
-    server_options.max_requests_per_connection = args.max_requests_per_connection;
-    server_options.rate_limit_rps = args.rate_limit_rps;
-    server_options.rate_limit_burst = rate_limit_burst;
-    server_options.queue_deadline_ms = args.queue_deadline_ms;
-    server_options.stream_factory = stream_factory;
-    threaded = std::make_unique<HttpServer>(server_options, handler);
-    HttpServer* raw = threaded.get();
-    transport_stats = [raw] { return raw->StatsJson(); };
-    started = threaded->Start();
-    port = threaded->port();
-  }
+  ReactorServerOptions server_options;
+  server_options.port = args.port;
+  server_options.num_threads = args.http_threads;
+  server_options.max_body_bytes = args.max_body_bytes;
+  server_options.max_connections = args.max_connections;
+  server_options.idle_timeout_seconds = args.idle_timeout;
+  server_options.write_stall_seconds = args.write_stall;
+  server_options.write_high_water_bytes = args.high_water_bytes;
+  server_options.max_requests_per_connection = args.max_requests_per_connection;
+  server_options.rate_limit_rps = args.rate_limit_rps;
+  server_options.rate_limit_burst = rate_limit_burst;
+  server_options.queue_deadline_ms = args.queue_deadline_ms;
+  server_options.stream_factory = [&service](const HttpRequest& head) {
+    return service.StartStreamingBody(head);
+  };
+  ReactorServer server(std::move(server_options), [&service](const HttpRequest& request) {
+    return service.Handle(request);
+  });
+  transport_stats = [&server] { return server.StatsJson(); };
+  Status started = server.Start();
+  const int port = server.port();
   if (!started.ok()) {
     std::fprintf(stderr, "%s\n", started.ToString().c_str());
     return 1;
   }
   std::printf("reptile_serve listening on 127.0.0.1:%d\n", port);
-  if (args.reactor) {
-    std::printf("front end: epoll reactor (1 event thread, %d workers)\n",
-                args.http_threads);
-  }
+  std::printf("front end: epoll reactor (1 event thread, %d workers)\n",
+              args.http_threads);
   std::fflush(stdout);
   LogEvent(LogLevel::kInfo, "server_started",
            {LogField::Int("port", port),
-            LogField::Str("front_end", args.reactor ? "reactor" : "threaded"),
+            LogField::Str("front_end", "reactor"),
             LogField::Int("pid", static_cast<int64_t>(::getpid())),
             LogField::Raw("build", BuildInfoJson())});
 
@@ -533,8 +494,7 @@ int Main(int argc, char** argv) {
   std::printf("shutting down\n");
   std::fflush(stdout);
   LogEvent(LogLevel::kInfo, "server_stopping", {LogField::Int("port", port)});
-  if (reactor != nullptr) reactor->Stop();
-  if (threaded != nullptr) threaded->Stop();
+  server.Stop();
   return 0;
 }
 

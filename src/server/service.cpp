@@ -274,12 +274,7 @@ Result<WireOptions> ParseOptions(const JsonValue& body) {
   const std::string context = "options";
   if (!value->is_object()) return WrongType(context, "an object", *value);
   REPTILE_RETURN_IF_ERROR(CheckKnownKeys(
-      *value, context, {"threads", "top_k", "model", "extra_repair_stats", "zero_timings"}));
-  if (value->Find("model") != nullptr && value->Find("extra_repair_stats") != nullptr) {
-    return Status::InvalidArgument(
-        "options has both \"model\" and the deprecated \"extra_repair_stats\"; a model "
-        "object carries its own extra_repair_stats — set them there");
-  }
+      *value, context, {"threads", "top_k", "model", "zero_timings"}));
   if (const JsonValue* model = value->Find("model")) {
     Result<ModelSpec> spec = ParseModelSpec(*model, context + ".model");
     if (!spec.ok()) return spec.status();
@@ -291,20 +286,6 @@ Result<WireOptions> ParseOptions(const JsonValue& body) {
   Result<int> top_k = IntField(*value, context, "top_k", 0);
   if (!top_k.ok()) return top_k.status();
   options.batch.top_k = *top_k;
-  if (const JsonValue* extras = value->Find("extra_repair_stats")) {
-    if (!extras->is_array()) {
-      return WrongType(context + ".extra_repair_stats", "an array", *extras);
-    }
-    options.batch.extra_repair_stats.emplace();  // engaged; empty = toggle off
-    const std::vector<JsonValue>& items = extras->array_items();
-    for (size_t i = 0; i < items.size(); ++i) {
-      if (!items[i].is_string()) {
-        return WrongType(context + ".extra_repair_stats[" + std::to_string(i) + "]",
-                         "a string", items[i]);
-      }
-      options.batch.extra_repair_stats->push_back(items[i].string_value());
-    }
-  }
   Result<bool> zero_timings = BoolField(*value, context, "zero_timings", false);
   if (!zero_timings.ok()) return zero_timings.status();
   options.zero_timings = *zero_timings;

@@ -24,11 +24,6 @@
 //                       scenario default)
 //   --workers N         max concurrent in-flight requests (default 8)
 //   --timeout-ms N      per-socket-op client deadline (default 5000)
-//   --keep-alive        one persistent connection per worker instead of one
-//                       connection per request (fine against --reactor;
-//                       against the thread-per-connection front end keep
-//                       workers < --http-threads or idle connections starve
-//                       the pool)
 //   --out PATH          report file (default BENCH_workload.json)
 //   --dump-schedule P   write the schedule text to P (single scenario) or
 //                       P.<scenario> (both) and exit without needing a
@@ -67,7 +62,6 @@ struct Args {
   double duration_s = 0.0;
   int workers = 8;
   int timeout_ms = 5000;
-  bool keep_alive = false;
   std::string out = "BENCH_workload.json";
   std::string dump_schedule;
   bool expect_overload = false;
@@ -77,7 +71,7 @@ struct Args {
   std::fprintf(stderr,
                "usage: %s --port N [--host H] [--scenario steady|burst|churn|both] "
                "[--seed N] [--duration-s S] [--workers N] [--timeout-ms N] "
-               "[--keep-alive] [--out PATH] [--dump-schedule PATH] "
+               "[--out PATH] [--dump-schedule PATH] "
                "[--expect-overload]\n",
                argv0);
   std::exit(2);
@@ -115,8 +109,6 @@ Args ParseArgs(int argc, char** argv) {
       args.workers = std::atoi(value_of(i).c_str());
     } else if (flag == "--timeout-ms") {
       args.timeout_ms = std::atoi(value_of(i).c_str());
-    } else if (flag == "--keep-alive") {
-      args.keep_alive = true;
     } else if (flag == "--out") {
       args.out = value_of(i);
     } else if (flag == "--dump-schedule") {
@@ -189,7 +181,6 @@ int Main(int argc, char** argv) {
   runner.port = args.port;
   runner.workers = args.workers;
   runner.timeout_ms = args.timeout_ms;
-  runner.keep_alive = args.keep_alive;
 
   bool failed = false;
   int64_t total_429 = 0, total_shed = 0;

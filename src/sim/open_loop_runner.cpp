@@ -82,8 +82,8 @@ void WorkerLoop(const RunnerOptions& options, const WorkloadOracle& oracle,
                 const std::vector<ScheduledOp>& schedule,
                 const std::vector<ExpectedResponse>& expected,
                 Clock::time_point start, Replay* replay) {
-  HttpClient persistent(options.host, options.port);
-  persistent.SetTimeoutMs(options.timeout_ms);
+  HttpClient client(options.host, options.port);
+  client.SetTimeoutMs(options.timeout_ms);
   std::unique_lock<std::mutex> lock(replay->mu);
   for (;;) {
     replay->ready_cv.wait(lock, [replay] {
@@ -110,17 +110,10 @@ void WorkerLoop(const RunnerOptions& options, const WorkloadOracle& oracle,
         Substitute(op.body, "@SID@", state.sid), "@DS@", oracle.dataset_name());
     lock.unlock();
 
-    auto send = [&](HttpClient& client) -> Result<HttpClientResponse> {
-      if (op.method == "GET") return client.Get(path);
-      if (op.method == "DELETE") return client.Delete(path);
-      return client.Post(path, body);
-    };
     Result<HttpClientResponse> response =
-        options.keep_alive ? send(persistent) : [&] {
-          HttpClient one_shot(options.host, options.port);
-          one_shot.SetTimeoutMs(options.timeout_ms);
-          return send(one_shot);
-        }();
+        op.method == "GET"      ? client.Get(path)
+        : op.method == "DELETE" ? client.Delete(path)
+                                : client.Post(path, body);
     const Clock::time_point now = Clock::now();
     const double latency_seconds =
         std::chrono::duration<double>(

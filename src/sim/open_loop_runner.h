@@ -31,14 +31,10 @@ namespace reptile {
 struct RunnerOptions {
   std::string host = "127.0.0.1";
   int port = 0;
-  int workers = 8;        // max concurrent in-flight requests (one client each)
+  // Max concurrent in-flight requests; each worker keeps one keep-alive
+  // connection for the whole run.
+  int workers = 8;
   int timeout_ms = 5000;  // per-socket-op client deadline (HttpClient)
-  // false (default): one connection per request. true: each worker keeps one
-  // connection alive for the whole run — realistic for the reactor front
-  // end, but the thread-per-connection front end pins a worker thread per
-  // idle keep-alive connection, so more loadgen workers than server threads
-  // would starve (and time out) instead of queueing.
-  bool keep_alive = false;
 };
 
 /// Outcome counters and latency percentiles of one scenario replay.

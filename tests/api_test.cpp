@@ -119,12 +119,12 @@ TEST(ApiSession, CreateValidatesOptions) {
     return Session::Create(MakeDroughtTable(), DroughtHierarchies(), options).status().code();
   };
   EXPECT_EQ(code_for(ExploreRequest().TopK(0)), StatusCode::kInvalidArgument);
-  EXPECT_EQ(code_for(ExploreRequest().Model("deep_net")), StatusCode::kInvalidArgument);
-  EXPECT_EQ(code_for(ExploreRequest().Backend("gpu")), StatusCode::kInvalidArgument);
   EXPECT_EQ(code_for(ExploreRequest().RandomEffects("some")), StatusCode::kInvalidArgument);
   EXPECT_EQ(code_for(ExploreRequest().DrillCache("lru")), StatusCode::kInvalidArgument);
-  EXPECT_EQ(code_for(ExploreRequest().EmIterations(-1)), StatusCode::kInvalidArgument);
-  EXPECT_EQ(code_for(ExploreRequest().RepairAlso("median")), StatusCode::kInvalidArgument);
+  EXPECT_EQ(code_for(ExploreRequest().Model(ModelSpec().EmIterations(-1))),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(code_for(ExploreRequest().Model(ModelSpec().EmTolerance(-0.5))),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(ApiSession, RecommendValidatesComplaints) {

@@ -488,11 +488,6 @@ TEST(ModelSpecApi, ValidationErrorsAsStatus) {
   EXPECT_EQ(bad_tol.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(bad_tol.status().message().find("em_tolerance"), std::string::npos);
 
-  // The deprecated per-call extras conflict with a per-call ModelSpec.
-  Result<ExploreResponse> conflict = session.Recommend(
-      complaint, BatchOptions().Model(ModelSpec()).RepairAlso("count"));
-  EXPECT_EQ(conflict.status().code(), StatusCode::kInvalidArgument);
-
   // Session construction validates an explicit ModelSpec too.
   Result<Session> bad_session =
       Session::Open(handle, ExploreRequest().Model(ModelSpec().EmIterations(-5)));

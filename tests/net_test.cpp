@@ -1,7 +1,8 @@
 // Tests for the event-driven serving tier (src/net/): the epoll reactor
-// front end run differentially against the thread-per-connection server
-// (byte-identical bodies over the full dataset/session lifecycle, serial and
-// under concurrent clients), hostile-client behavior (slow-loris trickle,
+// front end run differentially against an identically built service driven
+// in process through Handle() / StartStreamingBody() (byte-identical bodies
+// over the full dataset/session lifecycle, serial and under concurrent
+// clients), hostile-client behavior (slow-loris trickle,
 // mid-body disconnects, stalled readers, oversized streamed uploads),
 // backpressure and admission-control counters, the 256-idle-connection
 // fixed-thread guarantee, bearer-token auth, and the streaming building
@@ -29,10 +30,10 @@
 #include "data/csv.h"
 #include "datagen/panel_gen.h"
 #include "gtest/gtest.h"
+#include "net/net_util.h"
 #include "net/reactor_server.h"
 #include "reptile/reptile.h"
 #include "server/http_client.h"
-#include "server/http_server.h"
 #include "server/json.h"
 #include "server/service.h"
 
@@ -81,44 +82,102 @@ const char kUploadCsv[] =
     "d1,y0,5\nd1,y0,3\nd1,y1,2\nd1,y1,6\n"
     "d2,y0,4\nd2,y0,2\nd2,y1,5\nd2,y1,1\n";
 
-// One service + front end. `reactor=true` serves through the epoll reactor,
-// false through the thread-per-connection oracle; everything else (datasets,
-// options, handler) is identical, so responses must be byte-identical.
+// One service behind the reactor front end. The datasets and options are
+// fixed, so a Stack and an InProcessClient built from the same
+// ServiceOptions hold bit-identical state.
 struct Stack {
-  explicit Stack(bool reactor, ServiceOptions service_options = ServiceOptions(),
+  explicit Stack(ServiceOptions service_options = ServiceOptions(),
                  size_t max_stream_body_bytes = size_t{1} << 30)
       : service(std::move(service_options)) {
     EXPECT_TRUE(service.AddDataset("panel", MakePanel(), {"time"}).ok());
-    HttpHandler handler = [this](const HttpRequest& request) {
-      return service.Handle(request);
-    };
-    HttpStreamFactory factory = [this](const HttpRequest& head) {
+    ReactorServerOptions options;
+    options.num_threads = 2;
+    options.tick_interval_ms = 50;
+    options.max_stream_body_bytes = max_stream_body_bytes;
+    options.stream_factory = [this](const HttpRequest& head) {
       return service.StartStreamingBody(head);
     };
-    if (reactor) {
-      ReactorServerOptions options;
-      options.num_threads = 2;
-      options.tick_interval_ms = 50;
-      options.max_stream_body_bytes = max_stream_body_bytes;
-      options.stream_factory = factory;
-      reactor_server = std::make_unique<ReactorServer>(std::move(options), handler);
-      EXPECT_TRUE(reactor_server->Start().ok());
-      port = reactor_server->port();
-    } else {
-      HttpServerOptions options;
-      options.num_threads = 4;  // >= concurrent clients below
-      options.max_stream_body_bytes = max_stream_body_bytes;
-      options.stream_factory = factory;
-      http_server = std::make_unique<HttpServer>(std::move(options), handler);
-      EXPECT_TRUE(http_server->Start().ok());
-      port = http_server->port();
-    }
+    server = std::make_unique<ReactorServer>(
+        std::move(options),
+        [this](const HttpRequest& request) { return service.Handle(request); });
+    EXPECT_TRUE(server->Start().ok());
+    port = server->port();
   }
 
   ReptileService service;
-  std::unique_ptr<HttpServer> http_server;
-  std::unique_ptr<ReactorServer> reactor_server;
+  std::unique_ptr<ReactorServer> server;
   int port = 0;
+};
+
+// The wire's differential oracle: a service built exactly like Stack's,
+// driven in process with HttpClient's call surface. A request head is first
+// offered to StartStreamingBody() and its body fed to the returned sink —
+// as the reactor does for streamed text/csv uploads — and otherwise goes
+// through Handle(). A streamed response body is drained into one string,
+// the bytes HttpClient hands back after de-chunking.
+class InProcessClient {
+ public:
+  explicit InProcessClient(ServiceOptions service_options = ServiceOptions())
+      : service_(std::move(service_options)) {
+    EXPECT_TRUE(service_.AddDataset("panel", MakePanel(), {"time"}).ok());
+  }
+
+  Result<HttpClientResponse> Get(const std::string& path) { return Send("GET", path, "", ""); }
+  Result<HttpClientResponse> Post(const std::string& path, const std::string& body,
+                                  const std::string& content_type = "application/json") {
+    return Send("POST", path, body, content_type);
+  }
+  Result<HttpClientResponse> Delete(const std::string& path) {
+    return Send("DELETE", path, "", "");
+  }
+  /// Same contract as HttpClient::SetHeader; an empty value removes it.
+  void SetHeader(const std::string& name, const std::string& value) {
+    std::erase_if(headers_, [&](const auto& header) { return header.first == name; });
+    if (!value.empty()) headers_.emplace_back(name, value);
+  }
+
+ private:
+  Result<HttpClientResponse> Send(const std::string& method, const std::string& target,
+                                  const std::string& body, const std::string& content_type) {
+    HttpRequest request;
+    request.method = method;
+    request.target = target;
+    size_t question = target.find('?');
+    request.path = target.substr(0, question);
+    if (question != std::string::npos) request.query = target.substr(question + 1);
+    request.http_version = "HTTP/1.1";
+    request.headers.emplace_back("host", "in-process");
+    for (const auto& [name, value] : headers_) {
+      request.headers.emplace_back(net_internal::Lowercase(name), value);
+    }
+    if (!content_type.empty()) request.headers.emplace_back("content-type", content_type);
+    HttpResponse response;
+    if (std::unique_ptr<HttpBodySink> sink = service_.StartStreamingBody(request)) {
+      bool complete = body.empty() || sink->Append(body);
+      response = sink->Finish(complete);
+    } else {
+      request.body = body;
+      response = service_.Handle(request);
+    }
+    HttpClientResponse out;
+    out.status = response.status;
+    out.headers.emplace_back("content-type", response.content_type);
+    for (const auto& [name, value] : response.extra_headers) {
+      out.headers.emplace_back(net_internal::Lowercase(name), value);
+    }
+    out.body = std::move(response.body);
+    if (response.body_stream) {
+      std::string piece;
+      while (response.body_stream(&piece)) {
+        out.body += piece;
+        piece.clear();
+      }
+    }
+    return out;
+  }
+
+  ReptileService service_;
+  std::vector<std::pair<std::string, std::string>> headers_;
 };
 
 // A blocking loopback socket with explicit timeouts — for clients that must
@@ -266,17 +325,17 @@ std::string NormalizeHealthz(const std::string& body) {
   return out;
 }
 
-void RunDifferentialSequence(const std::vector<WireCall>& calls, Stack& a, Stack& b) {
-  HttpClient client_a("127.0.0.1", a.port);
-  HttpClient client_b("127.0.0.1", b.port);
+void RunDifferentialSequence(const std::vector<WireCall>& calls, InProcessClient& oracle,
+                             const Stack& wire) {
+  HttpClient client("127.0.0.1", wire.port);
   for (const WireCall& call : calls) {
-    auto run = [&call](HttpClient& client) {
-      if (call.method == "GET") return client.Get(call.path);
-      if (call.method == "DELETE") return client.Delete(call.path);
-      return client.Post(call.path, call.body, call.content_type);
+    auto run = [&call](auto& target) {
+      if (call.method == "GET") return target.Get(call.path);
+      if (call.method == "DELETE") return target.Delete(call.path);
+      return target.Post(call.path, call.body, call.content_type);
     };
-    Result<HttpClientResponse> ra = run(client_a);
-    Result<HttpClientResponse> rb = run(client_b);
+    Result<HttpClientResponse> ra = run(oracle);
+    Result<HttpClientResponse> rb = run(client);
     ASSERT_TRUE(ra.ok()) << call.label << ": " << ra.status().ToString();
     ASSERT_TRUE(rb.ok()) << call.label << ": " << rb.status().ToString();
     EXPECT_EQ(ra->status, rb->status) << call.label;
@@ -288,9 +347,12 @@ void RunDifferentialSequence(const std::vector<WireCall>& calls, Stack& a, Stack
   }
 }
 
+// The 24-step dataset/session lifecycle, every response byte-compared
+// between the reactor and the in-process twin: the socket front end adds
+// framing, never content.
 TEST(NetDifferentialTest, FullLifecycleByteIdenticalAcrossFrontEnds) {
-  Stack threaded(/*reactor=*/false);
-  Stack reactor(/*reactor=*/true);
+  InProcessClient oracle;
+  Stack reactor;
 
   const std::string session_address = R"("session":"s-1")";
   std::vector<WireCall> calls = {
@@ -338,18 +400,19 @@ TEST(NetDifferentialTest, FullLifecycleByteIdenticalAcrossFrontEnds) {
        "text/csv"},
       {"healthz after lifecycle", "GET", "/healthz", ""},
   };
-  RunDifferentialSequence(calls, threaded, reactor);
+  RunDifferentialSequence(calls, oracle, reactor);
 }
 
-// /metricsz on BOTH front ends: structural assertions only (latency values
-// are scheduling-dependent, so no byte comparison) — Prometheus content
-// type, the request-latency histogram with cumulative buckets, the stage
-// and cache series, and a trace id echoed on the scrape response itself.
+// /metricsz over the reactor and in process: structural assertions only
+// (latency values are scheduling-dependent, so no byte comparison) —
+// Prometheus content type, the request-latency histogram with cumulative
+// buckets, the stage and cache series, and a trace id echoed on the scrape
+// response itself.
 TEST(NetDifferentialTest, MetricszServedIdenticallyShapedOnBothFrontEnds) {
-  Stack threaded(/*reactor=*/false);
-  Stack reactor(/*reactor=*/true);
-  for (Stack* stack : {&threaded, &reactor}) {
-    HttpClient client("127.0.0.1", stack->port);
+  InProcessClient oracle;
+  Stack reactor;
+  HttpClient wire("127.0.0.1", reactor.port);
+  auto check = [](auto& client) {
     // Drive one recommend through first so the stage histograms are fed.
     Result<HttpClientResponse> rec =
         client.Post("/v1/recommend", RecommendBody(R"("dataset":"panel")", 0));
@@ -377,16 +440,18 @@ TEST(NetDifferentialTest, MetricszServedIdenticallyShapedOnBothFrontEnds) {
     }
     ASSERT_NE(metrics->FindHeader("x-request-id"), nullptr);
     EXPECT_FALSE(metrics->FindHeader("x-request-id")->empty());
-  }
-  // With the transport hook wired (as serve_main does for --reactor), the
-  // front end's counters are re-exported as reptile_transport_* gauges.
+  };
+  check(oracle);
+  check(wire);
+  // With the transport hook wired (as serve_main does), the front end's
+  // counters are re-exported as reptile_transport_* gauges.
   auto transport = std::make_shared<std::function<std::string()>>();
   ServiceOptions with_transport;
   with_transport.transport_stats_json = [transport] {
     return *transport ? (*transport)() : std::string("null");
   };
-  Stack reactor2(/*reactor=*/true, std::move(with_transport));
-  *transport = [&reactor2] { return reactor2.reactor_server->StatsJson(); };
+  Stack reactor2(std::move(with_transport));
+  *transport = [&reactor2] { return reactor2.server->StatsJson(); };
   HttpClient client2("127.0.0.1", reactor2.port);
   ASSERT_TRUE(client2.Get("/healthz").ok());
   Result<HttpClientResponse> metrics2 = client2.Get("/metricsz");
@@ -397,16 +462,15 @@ TEST(NetDifferentialTest, MetricszServedIdenticallyShapedOnBothFrontEnds) {
 }
 
 TEST(NetDifferentialTest, ConcurrentClientsSeeByteIdenticalBodies) {
-  Stack threaded(/*reactor=*/false);
-  Stack reactor(/*reactor=*/true);
+  Stack reactor;
 
-  // Reference bytes, computed serially first.
+  // Reference bytes, computed serially in process.
   std::vector<std::string> expected;
   {
-    HttpClient client("127.0.0.1", threaded.port);
+    InProcessClient oracle;
     for (int y = 0; y < kYears; ++y) {
       Result<HttpClientResponse> r =
-          client.Post("/v1/recommend", RecommendBody(R"("dataset":"panel")", y));
+          oracle.Post("/v1/recommend", RecommendBody(R"("dataset":"panel")", y));
       ASSERT_TRUE(r.ok()) << r.status().ToString();
       ASSERT_EQ(r->status, 200);
       expected.push_back(r->body);
@@ -420,53 +484,48 @@ TEST(NetDifferentialTest, ConcurrentClientsSeeByteIdenticalBodies) {
   std::vector<std::thread> clients;
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
-      HttpClient via_threaded("127.0.0.1", threaded.port);
-      HttpClient via_reactor("127.0.0.1", reactor.port);
+      HttpClient client("127.0.0.1", reactor.port);
       for (int i = 0; i < kIterations; ++i) {
         int year = (c + i) % kYears;
-        std::string body = RecommendBody(R"("dataset":"panel")", year);
-        Result<HttpClientResponse> rt = via_threaded.Post("/v1/recommend", body);
-        Result<HttpClientResponse> rr = via_reactor.Post("/v1/recommend", body);
-        if (!rt.ok() || !rr.ok() || rt->status != 200 || rr->status != 200) {
+        Result<HttpClientResponse> response =
+            client.Post("/v1/recommend", RecommendBody(R"("dataset":"panel")", year));
+        if (!response.ok() || response->status != 200) {
           failures.fetch_add(1);
           continue;
         }
-        if (rt->body != expected[year] || rr->body != expected[year]) {
-          mismatches.fetch_add(1);
-        }
+        if (response->body != expected[year]) mismatches.fetch_add(1);
       }
     });
   }
   for (std::thread& t : clients) t.join();
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(mismatches.load(), 0);
-  EXPECT_GE(reactor.reactor_server->requests_dispatched(), kClients * kIterations);
+  EXPECT_GE(reactor.server->requests_dispatched(), kClients * kIterations);
 }
 
-TEST(NetDifferentialTest, PipelinedRequestsAnsweredInOrderOnBothFrontEnds) {
-  Stack threaded(/*reactor=*/false);
-  Stack reactor(/*reactor=*/true);
+TEST(NetDifferentialTest, PipelinedRequestsAnsweredInOrder) {
+  Stack reactor;
   const std::string two_gets =
       "GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
       "GET /healthz HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n";
-  for (Stack* stack : {&threaded, &reactor}) {
-    HttpClient client("127.0.0.1", stack->port);
-    Result<std::string> raw = client.SendRaw(two_gets);
-    ASSERT_TRUE(raw.ok()) << raw.status().ToString();
-    // Two complete 200 responses, back to back.
-    size_t first = raw->find("HTTP/1.1 200 OK");
-    ASSERT_NE(first, std::string::npos);
-    size_t second = raw->find("HTTP/1.1 200 OK", first + 1);
-    ASSERT_NE(second, std::string::npos);
-  }
+  HttpClient client("127.0.0.1", reactor.port);
+  Result<std::string> raw = client.SendRaw(two_gets);
+  ASSERT_TRUE(raw.ok()) << raw.status().ToString();
+  // Two complete 200 responses, back to back, in request order: only the
+  // second (the one that asked to close) announces the close.
+  size_t first = raw->find("HTTP/1.1 200 OK");
+  ASSERT_NE(first, std::string::npos);
+  size_t second = raw->find("HTTP/1.1 200 OK", first + 1);
+  ASSERT_NE(second, std::string::npos);
+  EXPECT_EQ(raw->find("Connection: close"), raw->find("Connection: close", second));
+  EXPECT_NE(raw->find("Connection: close", second), std::string::npos);
 }
 
 TEST(NetDifferentialTest, StreamedBatchBodyMatchesBufferedBytes) {
   ServiceOptions streaming;
   streaming.stream_threshold_bytes = 1;  // stream every batch response
-  Stack buffered_stack(/*reactor=*/false);
-  Stack streamed_threaded(/*reactor=*/false, streaming);
-  Stack streamed_reactor(/*reactor=*/true, streaming);
+  Stack buffered_stack;
+  Stack streamed_stack(streaming);
 
   HttpClient buffered_client("127.0.0.1", buffered_stack.port);
   Result<HttpClientResponse> buffered =
@@ -475,23 +534,28 @@ TEST(NetDifferentialTest, StreamedBatchBodyMatchesBufferedBytes) {
   ASSERT_EQ(buffered->status, 200);
   EXPECT_EQ(buffered->FindHeader("transfer-encoding"), nullptr);
 
-  for (Stack* stack : {&streamed_threaded, &streamed_reactor}) {
-    HttpClient client("127.0.0.1", stack->port);
-    Result<HttpClientResponse> streamed =
-        client.Post("/v1/recommend_batch", BatchBody(R"("dataset":"panel")"));
-    ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
-    EXPECT_EQ(streamed->status, 200);
-    const std::string* te = streamed->FindHeader("transfer-encoding");
-    ASSERT_NE(te, nullptr);
-    EXPECT_EQ(*te, "chunked");
-    EXPECT_EQ(streamed->body, buffered->body);  // decoded bytes identical
-  }
+  HttpClient client("127.0.0.1", streamed_stack.port);
+  Result<HttpClientResponse> streamed =
+      client.Post("/v1/recommend_batch", BatchBody(R"("dataset":"panel")"));
+  ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+  EXPECT_EQ(streamed->status, 200);
+  const std::string* te = streamed->FindHeader("transfer-encoding");
+  ASSERT_NE(te, nullptr);
+  EXPECT_EQ(*te, "chunked");
+  EXPECT_EQ(streamed->body, buffered->body);  // decoded bytes identical
+
+  // The in-process stream, drained piece by piece, holds the same bytes.
+  InProcessClient oracle(streaming);
+  Result<HttpClientResponse> drained =
+      oracle.Post("/v1/recommend_batch", BatchBody(R"("dataset":"panel")"));
+  ASSERT_TRUE(drained.ok());
+  EXPECT_EQ(drained->body, buffered->body);
 }
 
 TEST(NetDifferentialTest, Http10ClientGetsIdentityBodyFromStreamingServer) {
   ServiceOptions streaming;
   streaming.stream_threshold_bytes = 1;
-  Stack stack(/*reactor=*/true, streaming);
+  Stack stack(streaming);
 
   std::string body = BatchBody(R"("dataset":"panel")");
   std::string request = "POST /v1/recommend_batch HTTP/1.0\r\nHost: x\r\n"
@@ -601,13 +665,15 @@ TEST(NetAuthTest, TokenlessServiceAcceptsEverything) {
             200);
 }
 
+// Over the reactor and in process alike: the bearer token gates mutations,
+// buffered and streamed.
 TEST(NetAuthTest, AuthEnforcedOverBothFrontEnds) {
   ServiceOptions options;
   options.auth_token = "wire-tok";
-  Stack threaded(/*reactor=*/false, options);
-  Stack reactor(/*reactor=*/true, options);
-  for (Stack* stack : {&threaded, &reactor}) {
-    HttpClient client("127.0.0.1", stack->port);
+  InProcessClient oracle(options);
+  Stack reactor(options);
+  HttpClient wire("127.0.0.1", reactor.port);
+  auto check = [](auto& client) {
     Result<HttpClientResponse> denied =
         client.Post("/v1/commit", R"({"dataset":"panel","hierarchy":"geo"})");
     ASSERT_TRUE(denied.ok()) << denied.status().ToString();
@@ -623,7 +689,9 @@ TEST(NetAuthTest, AuthEnforcedOverBothFrontEnds) {
         "/v1/datasets?name=n&dimensions=d,y&measures=m", kUploadCsv, "text/csv");
     ASSERT_TRUE(upload.ok()) << upload.status().ToString();
     EXPECT_EQ(upload->status, 401);
-  }
+  };
+  check(oracle);
+  check(wire);
 }
 
 // ---- Hostile clients -------------------------------------------------------
@@ -664,7 +732,7 @@ TEST(NetHostileTest, ByteFreeIdleConnectionIsClosedSilently) {
 }
 
 TEST(NetHostileTest, MidBodyDisconnectLeavesServerHealthy) {
-  Stack stack(/*reactor=*/true);
+  Stack stack;
   {
     RawSocket buffered(stack.port);
     ASSERT_TRUE(buffered.ok());
@@ -683,7 +751,7 @@ TEST(NetHostileTest, MidBodyDisconnectLeavesServerHealthy) {
   // The server keeps serving, and the half-uploaded dataset never appeared.
   HttpClient client("127.0.0.1", stack.port);
   for (int attempt = 0; attempt < 50; ++attempt) {
-    if (stack.reactor_server->open_connections() == 0) break;
+    if (stack.server->open_connections() == 0) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
   Result<HttpClientResponse> health = client.Get("/healthz");
@@ -774,7 +842,7 @@ TEST(NetHostileTest, OversizedStreamedUploadRejectedWithoutBuffering) {
 // ---- Capacity --------------------------------------------------------------
 
 TEST(NetCapacityTest, Holds256IdleKeepAliveConnectionsWithFixedThreads) {
-  Stack stack(/*reactor=*/true);  // 1 loop thread + 2 workers, regardless of load
+  Stack stack;  // 1 loop thread + 2 workers, regardless of load
 
   int threads_before = ProcessThreadCount();
   ASSERT_GT(threads_before, 0);
@@ -800,11 +868,11 @@ TEST(NetCapacityTest, Holds256IdleKeepAliveConnectionsWithFixedThreads) {
   }
   // All 256 are open server-side...
   auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (stack.reactor_server->open_connections() < kConnections &&
+  while (stack.server->open_connections() < kConnections &&
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
-  EXPECT_EQ(stack.reactor_server->open_connections(), kConnections);
+  EXPECT_EQ(stack.server->open_connections(), kConnections);
   // ...and the thread count did not move: idle connections are state, not
   // threads.
   EXPECT_EQ(ProcessThreadCount(), threads_before);
@@ -846,11 +914,11 @@ TEST(NetCapacityTest, ConnectionsPastTheCapGet503) {
 }
 
 TEST(NetCapacityTest, StopFlushesInFlightResponses) {
-  Stack stack(/*reactor=*/true);
+  Stack stack;
   HttpClient client("127.0.0.1", stack.port);
   Result<HttpClientResponse> warm = client.Get("/healthz");
   ASSERT_TRUE(warm.ok());
-  stack.reactor_server->Stop();
+  stack.server->Stop();
   // After Stop() the port no longer accepts (or resets immediately).
   Result<HttpClientResponse> after = HttpClient("127.0.0.1", stack.port).Get("/healthz");
   EXPECT_FALSE(after.ok());
@@ -926,6 +994,35 @@ TEST(CsvStreamTest, ErrorsAreIdenticalAcrossSplitsAndSticky) {
   EXPECT_NE(streamed.status().message().find("row 2"), std::string::npos);
 }
 
+// nan/inf parse as doubles but would poison every downstream statistic, so
+// they are ParseErrors naming the row and column — identical however the
+// bytes are split, including on an unterminated last line.
+TEST(CsvStreamTest, NonFiniteMeasuresAreParseErrorsAtAnySplit) {
+  CsvSpec spec;
+  spec.dimension_columns = {"d"};
+  spec.measure_columns = {"m"};
+  for (const std::string bad : {"nan", "NaN", "inf", "-Infinity", "1e999"}) {
+    for (const std::string& text :
+         {"d,m\nd0,1\nd1," + bad + "\nd2,3\n", "d,m\nd0,1\nd1," + bad}) {
+      Result<Table> whole = LoadCsvText(text, spec);
+      ASSERT_FALSE(whole.ok()) << text;
+      EXPECT_EQ(whole.status().code(), StatusCode::kParseError);
+      EXPECT_EQ(whole.status().message(),
+                "inline csv row 2, column 'm': '" + bad + "' is not a finite number");
+      for (size_t chunk_size = 1; chunk_size <= text.size(); ++chunk_size) {
+        CsvStreamParser parser(spec, "inline csv");
+        for (size_t pos = 0; pos < text.size(); pos += chunk_size) {
+          if (!parser.Feed(std::string_view(text).substr(pos, chunk_size))) break;
+        }
+        Result<Table> streamed = parser.Finish();
+        ASSERT_FALSE(streamed.ok()) << "chunk=" << chunk_size;
+        EXPECT_EQ(streamed.status().ToString(), whole.status().ToString())
+            << "chunk=" << chunk_size;
+      }
+    }
+  }
+}
+
 TEST(CsvStreamTest, FinishFlushesUnterminatedTrailingLine) {
   CsvSpec spec;
   spec.dimension_columns = {"d"};
@@ -977,27 +1074,22 @@ TEST(CsvStreamTest, EdgeFramingIdenticalAcrossBufferedAndChunkedFeeds) {
 
 // ---- Snapshot routes (differential) ----------------------------------------
 
-// POST /v1/datasets/{name}/snapshot then create-from-snapshot, over BOTH
-// front ends: the restored dataset answers byte-identically to the original
-// and — because the snapshot carries the fitted-model cache — without a
-// single new fit.
+// POST /v1/datasets/{name}/snapshot then create-from-snapshot, over the
+// reactor and in process: the restored dataset answers byte-identically to
+// the original and — because the snapshot carries the fitted-model cache —
+// without a single new fit.
 TEST(NetDifferentialTest, SnapshotRestartByteIdenticalAndWarmOnBothFrontEnds) {
-  auto model_fits = [](HttpClient& client) {
-    Result<HttpClientResponse> health = client.Get("/healthz");
-    EXPECT_TRUE(health.ok());
-    Result<JsonValue> parsed = ParseJson(health->body);
-    EXPECT_TRUE(parsed.ok());
-    return parsed->Find("model_cache")->Find("fits")->IntValue();
-  };
-
-  for (bool reactor : {false, true}) {
-    ServiceOptions service_options;
-    service_options.dataset_path_root = ::testing::TempDir();
-    Stack stack(reactor, service_options);
-    HttpClient client("127.0.0.1", stack.port);
+  ServiceOptions service_options;
+  service_options.dataset_path_root = ::testing::TempDir();
+  auto restart = [](auto& client, const std::string& snap_name) {
+    auto model_fits = [&client] {
+      Result<HttpClientResponse> health = client.Get("/healthz");
+      EXPECT_TRUE(health.ok());
+      Result<JsonValue> parsed = ParseJson(health->body);
+      EXPECT_TRUE(parsed.ok());
+      return parsed->Find("model_cache")->Find("fits")->IntValue();
+    };
     const std::string batch_body = BatchBody(R"("dataset":"panel")");
-    const std::string snap_name =
-        reactor ? "restart-reactor.snap" : "restart-threaded.snap";
 
     // Warm the panel (aggregates + fits), then snapshot it.
     Result<HttpClientResponse> warm = client.Post("/v1/recommend_batch", batch_body);
@@ -1021,15 +1113,21 @@ TEST(NetDifferentialTest, SnapshotRestartByteIdenticalAndWarmOnBothFrontEnds) {
         << restored->body;
 
     // The restored dataset answers byte-identically with zero new fits.
-    int64_t fits_before = model_fits(client);
+    int64_t fits_before = model_fits();
     Result<HttpClientResponse> replay =
         client.Post("/v1/recommend_batch", BatchBody(R"("dataset":"restored")"));
     ASSERT_TRUE(replay.ok()) << replay.status().ToString();
     ASSERT_EQ(replay->status, 200);
-    EXPECT_EQ(replay->body, warm->body) << (reactor ? "reactor" : "threaded");
-    EXPECT_EQ(model_fits(client), fits_before)
+    EXPECT_EQ(replay->body, warm->body) << snap_name;
+    EXPECT_EQ(model_fits(), fits_before)
         << "restored dataset trained models despite a warm snapshot";
-  }
+  };
+
+  InProcessClient oracle(service_options);
+  restart(oracle, "restart-in-process.snap");
+  Stack reactor(service_options);
+  HttpClient wire("127.0.0.1", reactor.port);
+  restart(wire, "restart-reactor.snap");
 }
 
 // ---- Keep-alive request caps -----------------------------------------------
@@ -1038,52 +1136,41 @@ TEST(NetDifferentialTest, SnapshotRestartByteIdenticalAndWarmOnBothFrontEnds) {
 // and the socket is cleanly closed: request N+1 on the same connection gets
 // EOF, not a hang (clients reconnect). The satellite case: 257 pipelined
 // requests against a cap of 256.
-TEST(NetKeepAliveLimitTest, Request257GetsCleanCloseOnBothFrontEnds) {
+TEST(NetKeepAliveLimitTest, Request257GetsCleanClose) {
   constexpr int kCap = 256;
-  const HttpHandler handler = [](const HttpRequest&) {
+  ReactorServerOptions options;
+  options.num_threads = 1;
+  options.tick_interval_ms = 25;
+  options.max_requests_per_connection = kCap;
+  ReactorServer server(std::move(options), [](const HttpRequest&) {
     return HttpResponse::Json(200, "{\"pong\":true}");
-  };
+  });
+  ASSERT_TRUE(server.Start().ok());
 
-  HttpServerOptions threaded_options;
-  threaded_options.num_threads = 1;
-  threaded_options.max_requests_per_connection = kCap;
-  HttpServer threaded(std::move(threaded_options), handler);
-  ASSERT_TRUE(threaded.Start().ok());
-
-  ReactorServerOptions reactor_options;
-  reactor_options.num_threads = 1;
-  reactor_options.tick_interval_ms = 25;
-  reactor_options.max_requests_per_connection = kCap;
-  ReactorServer reactor(std::move(reactor_options), handler);
-  ASSERT_TRUE(reactor.Start().ok());
-
-  for (int port : {threaded.port(), reactor.port()}) {
-    std::string pipelined;
-    for (int i = 0; i < kCap + 1; ++i) {
-      pipelined += "GET /ping HTTP/1.1\r\nHost: x\r\n\r\n";
-    }
-    RawSocket socket(port);
-    ASSERT_TRUE(socket.ok());
-    ASSERT_TRUE(socket.Send(pipelined));
-    std::string raw = socket.ReadUntilClosed(10000);
-
-    // Exactly kCap responses: the 257th request was never answered.
-    size_t responses = 0;
-    for (size_t pos = raw.find("HTTP/1.1 200"); pos != std::string::npos;
-         pos = raw.find("HTTP/1.1 200", pos + 1)) {
-      ++responses;
-    }
-    EXPECT_EQ(responses, static_cast<size_t>(kCap)) << "port=" << port;
-    // The final response announced the close; none before it did.
-    size_t close_header = raw.find("Connection: close");
-    ASSERT_NE(close_header, std::string::npos) << "port=" << port;
-    EXPECT_EQ(raw.find("Connection: close", close_header + 1), std::string::npos);
-    EXPECT_GT(close_header, raw.rfind("HTTP/1.1 200"));
-    // And the server really closed: EOF, not silence.
-    EXPECT_TRUE(socket.WaitForEof(5000)) << "port=" << port;
+  std::string pipelined;
+  for (int i = 0; i < kCap + 1; ++i) {
+    pipelined += "GET /ping HTTP/1.1\r\nHost: x\r\n\r\n";
   }
-  threaded.Stop();
-  reactor.Stop();
+  RawSocket socket(server.port());
+  ASSERT_TRUE(socket.ok());
+  ASSERT_TRUE(socket.Send(pipelined));
+  std::string raw = socket.ReadUntilClosed(10000);
+
+  // Exactly kCap responses: the 257th request was never answered.
+  size_t responses = 0;
+  for (size_t pos = raw.find("HTTP/1.1 200"); pos != std::string::npos;
+       pos = raw.find("HTTP/1.1 200", pos + 1)) {
+    ++responses;
+  }
+  EXPECT_EQ(responses, static_cast<size_t>(kCap));
+  // The final response announced the close; none before it did.
+  size_t close_header = raw.find("Connection: close");
+  ASSERT_NE(close_header, std::string::npos);
+  EXPECT_EQ(raw.find("Connection: close", close_header + 1), std::string::npos);
+  EXPECT_GT(close_header, raw.rfind("HTTP/1.1 200"));
+  // And the server really closed: EOF, not silence.
+  EXPECT_TRUE(socket.WaitForEof(5000));
+  server.Stop();
 }
 
 // A cap of 1 degenerates to Connection: close on every response.

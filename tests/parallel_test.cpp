@@ -20,6 +20,7 @@
 
 #include "common/rng.h"
 #include "core/engine.h"
+#include "datagen/panel_gen.h"
 #include "datagen/synthetic.h"
 #include "parallel/thread_pool.h"
 #include "reptile/reptile.h"
@@ -216,35 +217,12 @@ TEST(RngStreamTest, StreamsSafeToDrawConcurrently) {
 // The fig08 panel: district x village x year severity, years committed so
 // every complaint shares the "drill geo to villages" extension.
 Dataset MakePanel() {
-  Table table;
-  int district = table.AddDimensionColumn("district");
-  int village = table.AddDimensionColumn("village");
-  int year = table.AddDimensionColumn("year");
-  int severity = table.AddMeasureColumn("severity");
-  uint64_t state = 8;
-  auto noise = [&state]() {
-    state = state * 6364136223846793005ull + 1442695040888963407ull;
-    return static_cast<double>(state >> 11) / 9007199254740992.0 - 0.5;
-  };
-  for (int d = 0; d < 6; ++d) {
-    for (int v = 0; v < 4; ++v) {
-      std::string district_name = "d" + std::to_string(d);
-      std::string village_name = district_name + "_v" + std::to_string(v);
-      for (int y = 0; y < 8; ++y) {
-        for (int r = 0; r < 3; ++r) {
-          table.SetDim(district, district_name);
-          table.SetDim(village, village_name);
-          table.SetDim(year, "y" + std::to_string(y));
-          table.SetMeasure(severity, 5.0 + 0.4 * d + 0.25 * y + noise());
-          table.CommitRow();
-        }
-      }
-    }
-  }
-  Result<Dataset> dataset = Dataset::Make(
-      std::move(table), {{"geo", {"district", "village"}}, {"time", {"year"}}});
-  EXPECT_TRUE(dataset.ok()) << dataset.status().ToString();
-  return std::move(dataset).value();
+  PanelSpec spec;
+  spec.districts = 6;
+  spec.villages_per_district = 4;
+  spec.years = 8;
+  spec.rows_per_group = 3;
+  return MakeSeverityPanel(spec);
 }
 
 std::vector<ComplaintSpec> PanelComplaints() {
@@ -395,8 +373,8 @@ TEST(ParallelEngineTest, SharedPoolAndOwnedPoolAreIdentical) {
 
 TEST(ParallelEngineTest, PerCallExtraRepairStatsOverride) {
   // MEAN decomposes into {mean} alone, so the per-call extra visibly adds a
-  // "count" prediction; an engaged-but-empty list strips the session-level
-  // extras for that call only.
+  // "count" prediction; a per-call spec without extras strips the
+  // session-level extras for that call only.
   ComplaintSpec complaint = ComplaintSpec::TooHigh("mean", "severity").Where("year", "y0");
   Session plain = MakePanelSession(1);
   Result<ExploreResponse> without = plain.Recommend(complaint);
@@ -405,7 +383,7 @@ TEST(ParallelEngineTest, PerCallExtraRepairStatsOverride) {
   EXPECT_EQ(without_group.predicted.count("count"), 0u);
 
   Result<ExploreResponse> with_extra =
-      plain.Recommend(complaint, BatchOptions().RepairAlso("count"));
+      plain.Recommend(complaint, BatchOptions().Model(ModelSpec().RepairAlso(AggFn::kCount)));
   ASSERT_TRUE(with_extra.ok()) << with_extra.status().ToString();
   EXPECT_EQ(with_extra->best()->groups.front().predicted.count("count"), 1u);
 
@@ -416,20 +394,17 @@ TEST(ParallelEngineTest, PerCallExtraRepairStatsOverride) {
 
   // Session-level extras, toggled off per call.
   Result<Session> with_session_extras =
-      Session::Create(MakePanel(), ExploreRequest().Threads(1).RepairAlso("count"));
+      Session::Create(MakePanel(), ExploreRequest().Threads(1).Model(
+                                       ModelSpec().RepairAlso(AggFn::kCount)));
   ASSERT_TRUE(with_session_extras.ok()) << with_session_extras.status().ToString();
   ASSERT_TRUE(with_session_extras->Commit("time").ok());
   Result<ExploreResponse> session_extra = with_session_extras->Recommend(complaint);
   ASSERT_TRUE(session_extra.ok());
   EXPECT_EQ(session_extra->best()->groups.front().predicted.count("count"), 1u);
   Result<ExploreResponse> toggled_off =
-      with_session_extras->Recommend(complaint, BatchOptions().NoExtraRepairStats());
+      with_session_extras->Recommend(complaint, BatchOptions().Model(ModelSpec()));
   ASSERT_TRUE(toggled_off.ok());
   EXPECT_EQ(toggled_off->best()->groups.front().predicted.count("count"), 0u);
-
-  // Unknown statistic names are rejected before any work happens.
-  EXPECT_EQ(plain.Recommend(complaint, BatchOptions().RepairAlso("median")).status().code(),
-            StatusCode::kInvalidArgument);
 }
 
 TEST(ParallelEngineTest, RejectsNegativeOverrides) {

@@ -1,4 +1,5 @@
-// Loopback integration tests for the HTTP front end (src/server/): routing,
+// Loopback integration tests for the HTTP routing layer (src/server/)
+// served through the reactor front end (src/net/): routing,
 // request mapping, the StatusCode -> HTTP error contract, request framing
 // limits, keep-alive, concurrent clients, and — the core guarantee — that
 // HTTP response bodies are byte-identical to direct Session calls.
@@ -19,9 +20,9 @@
 #include "gtest/gtest.h"
 #include "obs/log.h"
 #include "obs/trace.h"
+#include "net/reactor_server.h"
 #include "reptile/reptile.h"
 #include "server/http_client.h"
-#include "server/http_server.h"
 #include "server/json.h"
 #include "server/service.h"
 
@@ -122,10 +123,12 @@ class ServerTest : public ::testing::Test {
     EXPECT_TRUE(service_->AddDataset("fresh", MakePanel()).ok());
     EXPECT_TRUE(service_->AddDataset("exhausted", MakePanel(), {"time", "geo", "geo"}).ok());
 
-    HttpServerOptions options;
-    options.port = 0;
+    ReactorServerOptions options;
     options.num_threads = 4;
-    server_ = std::make_unique<HttpServer>(
+    options.stream_factory = [this](const HttpRequest& head) {
+      return service_->StartStreamingBody(head);
+    };
+    server_ = std::make_unique<ReactorServer>(
         options, [this](const HttpRequest& request) { return service_->Handle(request); });
     Status started = server_->Start();
     EXPECT_TRUE(started.ok()) << started.ToString();
@@ -137,7 +140,7 @@ class ServerTest : public ::testing::Test {
 
   Session direct_;
   std::unique_ptr<ReptileService> service_;
-  std::unique_ptr<HttpServer> server_;
+  std::unique_ptr<ReactorServer> server_;
 };
 
 // Expects a response with the given HTTP status whose error body names the
@@ -257,27 +260,27 @@ TEST_F(ServerTest, ExtraRepairStatsFlowThroughTheWire) {
   // MEAN decomposes into {mean} alone; the per-call extra adds count.
   ComplaintSpec complaint =
       ComplaintSpec::TooHigh("mean", "severity").Where("year", "y1");
-  Result<ExploreResponse> direct =
-      direct_.Recommend(complaint, BatchOptions().RepairAlso("count"));
+  Result<ExploreResponse> direct = direct_.Recommend(
+      complaint, BatchOptions().Model(ModelSpec().RepairAlso(AggFn::kCount)));
   ASSERT_TRUE(direct.ok()) << direct.status().ToString();
 
   HttpClient client = Client();
   const std::string request_prefix =
       R"({"dataset":"panel","complaint":{"aggregate":"mean","measure":"severity",)"
       R"("where":[{"column":"year","value":"y1"}]},)"
-      R"("options":{"zero_timings":true,"extra_repair_stats":)";
+      R"("options":{"zero_timings":true,"model":{"extra_repair_stats":)";
   Result<HttpClientResponse> with_extras =
-      client.Post("/v1/recommend", request_prefix + R"(["count"]}})");
+      client.Post("/v1/recommend", request_prefix + R"(["count"]}}})");
   ASSERT_TRUE(with_extras.ok()) << with_extras.status().ToString();
   EXPECT_EQ(with_extras->status, 200);
   EXPECT_EQ(with_extras->body, TimelessJson(*direct));
   EXPECT_NE(with_extras->body.find("\"count\":"), std::string::npos);
 
-  // An explicitly empty list toggles extras off: same bytes as no option.
-  Result<ExploreResponse> plain = direct_.Recommend(complaint);
+  // An explicitly empty list repairs the complaint's own primitives only.
+  Result<ExploreResponse> plain = direct_.Recommend(complaint, BatchOptions().Model(ModelSpec()));
   ASSERT_TRUE(plain.ok());
   Result<HttpClientResponse> without_extras =
-      client.Post("/v1/recommend", request_prefix + R"([]}})");
+      client.Post("/v1/recommend", request_prefix + R"([]}}})");
   ASSERT_TRUE(without_extras.ok()) << without_extras.status().ToString();
   EXPECT_EQ(without_extras->body, TimelessJson(*plain));
   EXPECT_NE(with_extras->body, without_extras->body);
@@ -786,6 +789,59 @@ TEST_F(ServerTest, DatasetUploadErrorSurface) {
   EXPECT_EQ(parsed->Find("sessions")->array_items().size(), 3u);
 }
 
+// nan/inf parse as doubles, but every later recommend over them would answer
+// with null statistics: upload and append reject them at ingest — inline and
+// streamed alike — naming the row and column, and register nothing.
+TEST_F(ServerTest, NonFiniteMeasuresAreRejectedAtIngest) {
+  HttpClient client = Client();
+  const std::string schema =
+      R"("dimensions":["d","y"],"measures":["m"],"hierarchies":[)"
+      R"({"name":"geo","attributes":["d"]},{"name":"time","attributes":["y"]}]})";
+  for (const std::string bad : {"nan", "inf", "-inf", "1e999"}) {
+    Result<HttpClientResponse> inline_upload = client.Post(
+        "/v1/datasets",
+        R"({"name":"nf","csv":"d,y,m\nd0,y0,1\nd1,y0,)" + bad + R"(\n",)" + schema);
+    ExpectError(inline_upload, 400, "PARSE_ERROR");
+    EXPECT_NE(inline_upload->body.find("inline csv row 2, column 'm': '" + bad +
+                                       "' is not a finite number"),
+              std::string::npos)
+        << inline_upload->body;
+  }
+  Result<HttpClientResponse> streamed_upload = client.Post(
+      "/v1/datasets?name=nf&dimensions=d,y&measures=m&hierarchy=geo:d&hierarchy=time:y",
+      "d,y,m\nd0,y0,1\nd1,y0,nan\n", "text/csv");
+  ExpectError(streamed_upload, 400, "PARSE_ERROR");
+  EXPECT_NE(streamed_upload->body.find("row 2, column 'm'"), std::string::npos)
+      << streamed_upload->body;
+  Result<HttpClientResponse> listed = client.Get("/v1/datasets");
+  ASSERT_TRUE(listed.ok());
+  EXPECT_EQ(listed->body.find("\"nf\""), std::string::npos) << listed->body;
+
+  // Appends run the delta through the same parser: both spellings are 400s
+  // and the chain stays at version 1.
+  Result<HttpClientResponse> base = client.Post(
+      "/v1/datasets", R"({"name":"nf","csv":"d,y,m\nd0,y0,1\nd1,y0,2\n",)" + schema);
+  ASSERT_TRUE(base.ok());
+  ASSERT_EQ(base->status, 201) << base->body;
+  Result<HttpClientResponse> inline_append =
+      client.Post("/v1/datasets/nf/rows", R"({"csv":"d,y,m\nd2,y0,inf\n"})");
+  ExpectError(inline_append, 400, "PARSE_ERROR");
+  EXPECT_NE(inline_append->body.find("row 1, column 'm': 'inf' is not a finite number"),
+            std::string::npos)
+      << inline_append->body;
+  Result<HttpClientResponse> streamed_append =
+      client.Post("/v1/datasets/nf/rows", "d,y,m\nd2,y0,-nan\n", "text/csv");
+  ExpectError(streamed_append, 400, "PARSE_ERROR");
+  EXPECT_NE(streamed_append->body.find("row 1, column 'm'"), std::string::npos)
+      << streamed_append->body;
+  Result<HttpClientResponse> good_append =
+      client.Post("/v1/datasets/nf/rows", R"({"csv":"d,y,m\nd2,y0,3\n"})");
+  ASSERT_TRUE(good_append.ok());
+  EXPECT_EQ(good_append->status, 201) << good_append->body;
+  EXPECT_NE(good_append->body.find("\"dataset_version\":2"), std::string::npos)
+      << good_append->body;
+}
+
 // Without a configured --dataset-root, the server-side "path" form must be
 // off entirely — otherwise any client could read (and exfiltrate through
 // parse-error echoes) arbitrary server files.
@@ -988,11 +1044,10 @@ TEST_F(ServerTest, ConcurrentSessionLifecycleIsSafeAndIsolated) {
 TEST(ServerLimits, OversizedBodyIsRejected) {
   ReptileService service;
   ASSERT_TRUE(service.AddDataset("panel", MakePanel(), {"time"}).ok());
-  HttpServerOptions options;
-  options.port = 0;
+  ReactorServerOptions options;
   options.num_threads = 2;
   options.max_body_bytes = 128;
-  HttpServer server(options,
+  ReactorServer server(options,
                     [&service](const HttpRequest& request) { return service.Handle(request); });
   ASSERT_TRUE(server.Start().ok());
 
@@ -1013,11 +1068,10 @@ TEST(ServerLimits, OversizedBodyIsRejected) {
 TEST(ServerLimits, OversizedHeaderSectionIsRejected) {
   ReptileService service;
   ASSERT_TRUE(service.AddDataset("panel", MakePanel(), {"time"}).ok());
-  HttpServerOptions options;
-  options.port = 0;
+  ReactorServerOptions options;
   options.num_threads = 1;
   options.max_header_bytes = 256;
-  HttpServer server(options,
+  ReactorServer server(options,
                     [&service](const HttpRequest& request) { return service.Handle(request); });
   ASSERT_TRUE(server.Start().ok());
 
@@ -1033,10 +1087,9 @@ TEST(ServerLimits, OversizedHeaderSectionIsRejected) {
 TEST(ServerLifecycle, StopFinishesInFlightAndRefusesNewConnections) {
   ReptileService service;
   ASSERT_TRUE(service.AddDataset("panel", MakePanel(), {"time"}).ok());
-  HttpServerOptions options;
-  options.port = 0;
+  ReactorServerOptions options;
   options.num_threads = 2;
-  auto server = std::make_unique<HttpServer>(
+  auto server = std::make_unique<ReactorServer>(
       options, [&service](const HttpRequest& request) { return service.Handle(request); });
   ASSERT_TRUE(server->Start().ok());
   int port = server->port();
@@ -1137,13 +1190,14 @@ TEST_F(ServerTest, OptionsModelRejectsUnknownAndWrongTypedFields) {
   ExpectError(client.Post("/v1/recommend", prefix + R"({"em_tolerance":-0.5}}})"), 400,
               "INVALID_ARGUMENT");
 
-  // model + deprecated extra_repair_stats conflict.
-  ExpectError(
-      client.Post(
-          "/v1/recommend",
-          R"({"dataset":"panel","complaint":{"aggregate":"mean","measure":"severity"},)"
-          R"("options":{"model":{},"extra_repair_stats":["count"]}})"),
-      400, "INVALID_ARGUMENT");
+  // The pre-ModelSpec top-level spelling is gone: an unknown options field.
+  Result<HttpClientResponse> top_level_extras = client.Post(
+      "/v1/recommend",
+      R"({"dataset":"panel","complaint":{"aggregate":"mean","measure":"severity"},)"
+      R"("options":{"extra_repair_stats":["count"]}})");
+  ExpectError(top_level_extras, 400, "INVALID_ARGUMENT");
+  EXPECT_NE(top_level_extras->body.find("extra_repair_stats"), std::string::npos)
+      << top_level_extras->body;
 
   // Malformed JSON inside the options still reports the byte offset.
   Result<HttpClientResponse> malformed = client.Post(
