@@ -18,21 +18,18 @@
 // off: the sequential arm then really is N independent queries, and the
 // only sharing measured is the batch's own.
 //
-// The Parallel sweep fixes the batch at the maximum size and sweeps the
-// per-call worker count over {1, 2, 4, 8} (REPTILE_FIG8_MAX_THREADS caps
-// it): model fits and per-complaint rankings fan out, so wall time drops
-// while models_trained (fits per batch) stays constant. Recommendations are
-// verified byte-identical across thread counts before the benchmarks run.
+// Both arms fan their work out on the process-wide shared pool. Before the
+// benchmarks run, the batched answer at the maximum batch size is verified
+// byte-identical to the N sequential answers.
 //
-// The process exits non-zero unless every batched and parallel run fitted
-// exactly 3 models and every sequential run of N complaints fitted 3N.
+// The process exits non-zero unless every batched run fitted exactly 3
+// models and every sequential run of N complaints fitted 3N.
 //
 // Exercises only the public api/ surface (no core/engine.h include);
 // common/env.h is shared benchmark-harness plumbing, not engine internals.
 
 #include <cstdio>
 #include <cstdlib>
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -77,9 +74,7 @@ Session FreshSession() {
   return std::move(session).value();
 }
 
-BatchOptions CallOptions(int threads) {
-  return BatchOptions().Threads(threads).Model(ModelSpec().FitCache(false));
-}
+BatchOptions CallOptions() { return BatchOptions().Model(ModelSpec().FitCache(false)); }
 
 std::vector<ComplaintSpec> MakeComplaints(int64_t n) {
   std::vector<ComplaintSpec> complaints;
@@ -107,46 +102,40 @@ void CheckFits(const std::string& label, int64_t got, int64_t want) {
   }
 }
 
-// Serialisation of a batch with the (legitimately scheduling-dependent)
-// timing fields zeroed, so results can be compared byte-for-byte.
-std::string TimelessJson(BatchExploreResponse batch) {
-  batch.train_seconds = 0.0;
-  batch.wall_seconds = 0.0;
-  for (ExploreResponse& response : batch.responses) {
-    for (HierarchyResponse& candidate : response.candidates) {
-      candidate.train_seconds = 0.0;
-      candidate.total_seconds = 0.0;
-    }
+// Serialisation of one response with the (legitimately scheduling-
+// dependent) timing fields zeroed, so results can be compared byte-for-byte.
+std::string TimelessJson(ExploreResponse response) {
+  for (HierarchyResponse& candidate : response.candidates) {
+    candidate.train_seconds = 0.0;
+    candidate.total_seconds = 0.0;
   }
-  return batch.ToJson();
+  return response.ToJson();
 }
 
-// Aborts unless the batch produces byte-identical recommendations at every
-// swept thread count (the Section 5.1.2 requirement: parallelism changes the
-// schedule, never the answer).
-void VerifyIdenticalAcrossThreads(int64_t batch_size, int max_threads) {
+[[noreturn]] void VerifyFailed(const std::string& what) {
+  std::fprintf(stderr, "fig08 verify failed: %s\n", what.c_str());
+  std::abort();
+}
+
+// Aborts unless the batched answer equals the N sequential answers, response
+// for response (the Section 5.1.2 requirement: batching shares work, never
+// changes the answer).
+void VerifyBatchedEqualsSequential(int64_t batch_size) {
   std::vector<ComplaintSpec> complaints = MakeComplaints(batch_size);
-  std::string expected;
-  for (int threads = 1; threads <= max_threads; threads *= 2) {
-    Session session = FreshSession();
-    Result<BatchExploreResponse> batch = session.RecommendAll(
-        std::span<const ComplaintSpec>(complaints), CallOptions(threads));
-    if (!batch.ok()) {
-      std::fprintf(stderr, "verify failed at %d threads: %s\n", threads,
-                   batch.status().ToString().c_str());
-      std::abort();
-    }
-    if (threads == 1) {
-      expected = TimelessJson(*batch);
-    } else if (TimelessJson(*batch) != expected) {
-      std::fprintf(stderr,
-                   "verify failed: recommendations at %d threads differ from sequential\n",
-                   threads);
-      std::abort();
+  Session batched = FreshSession();
+  Result<BatchExploreResponse> batch =
+      batched.RecommendAll(std::span<const ComplaintSpec>(complaints), CallOptions());
+  if (!batch.ok()) VerifyFailed(batch.status().ToString());
+  Session sequential = FreshSession();
+  for (size_t i = 0; i < complaints.size(); ++i) {
+    Result<ExploreResponse> single = sequential.Recommend(complaints[i], CallOptions());
+    if (!single.ok()) VerifyFailed(single.status().ToString());
+    if (TimelessJson(batch->responses[i]) != TimelessJson(*single)) {
+      VerifyFailed("batched response " + std::to_string(i) + " differs from sequential");
     }
   }
-  std::fprintf(stderr, "fig08 verify: batch of %lld byte-identical at 1..%d threads\n",
-               static_cast<long long>(batch_size), max_threads);
+  std::fprintf(stderr, "fig08 verify: batch of %lld equals %lld sequential answers\n",
+               static_cast<long long>(batch_size), static_cast<long long>(batch_size));
 }
 
 void BM_MultiQuery_Batched(benchmark::State& state) {
@@ -160,7 +149,7 @@ void BM_MultiQuery_Batched(benchmark::State& state) {
     session.emplace(FreshSession());
     state.ResumeTiming();
     Result<BatchExploreResponse> batch =
-        session->RecommendAll(std::span<const ComplaintSpec>(complaints), CallOptions(1));
+        session->RecommendAll(std::span<const ComplaintSpec>(complaints), CallOptions());
     if (!batch.ok()) {
       state.SkipWithError(batch.status().ToString().c_str());
       return;
@@ -183,7 +172,7 @@ void BM_MultiQuery_Sequential(benchmark::State& state) {
     session.emplace(FreshSession());
     state.ResumeTiming();
     for (const ComplaintSpec& complaint : complaints) {
-      Result<ExploreResponse> response = session->Recommend(complaint, CallOptions(1));
+      Result<ExploreResponse> response = session->Recommend(complaint, CallOptions());
       if (!response.ok()) {
         state.SkipWithError(response.status().ToString().c_str());
         return;
@@ -196,67 +185,10 @@ void BM_MultiQuery_Sequential(benchmark::State& state) {
   state.counters["models_trained"] = static_cast<double>(models);
 }
 
-// Fixed batch, swept per-call worker count: the tentpole measurement. The
-// "speedup" counter is this run's wall time relative to the 1-thread run of
-// the same batch size (measured once up front, outside the timed loop).
-double SequentialBaselineSeconds(int64_t batch_size) {
-  std::vector<ComplaintSpec> complaints = MakeComplaints(batch_size);
-  double best = 0.0;
-  for (int rep = 0; rep < 3; ++rep) {
-    Session session = FreshSession();
-    Result<BatchExploreResponse> batch =
-        session.RecommendAll(std::span<const ComplaintSpec>(complaints), CallOptions(1));
-    if (!batch.ok()) return 0.0;
-    if (best == 0.0 || batch->wall_seconds < best) best = batch->wall_seconds;
-  }
-  return best;
-}
-
-void BM_MultiQuery_Parallel(benchmark::State& state) {
-  static std::map<int64_t, double> baseline;  // batch size -> 1-thread seconds
-  int64_t batch_size = state.range(0);
-  int threads = static_cast<int>(state.range(1));
-  if (baseline.find(batch_size) == baseline.end()) {
-    baseline[batch_size] = SequentialBaselineSeconds(batch_size);
-  }
-  std::vector<ComplaintSpec> complaints = MakeComplaints(batch_size);
-  const std::string label =
-      "Parallel/" + std::to_string(batch_size) + "/" + std::to_string(threads);
-  std::optional<Session> session;
-  int64_t models = 0;
-  double wall = 0.0;
-  int64_t iters = 0;
-  for (auto _ : state) {
-    state.PauseTiming();
-    session.reset();  // the previous iteration's teardown stays untimed too
-    session.emplace(FreshSession());
-    state.ResumeTiming();
-    Result<BatchExploreResponse> batch = session->RecommendAll(
-        std::span<const ComplaintSpec>(complaints), CallOptions(threads));
-    if (!batch.ok()) {
-      state.SkipWithError(batch.status().ToString().c_str());
-      return;
-    }
-    models = batch->models_trained;
-    CheckFits(label, models, kFitsPerBatch);
-    wall += batch->wall_seconds;
-    ++iters;
-    benchmark::DoNotOptimize(batch);
-  }
-  state.counters["threads"] = threads;
-  state.counters["models_trained"] = static_cast<double>(models);  // fits per batch
-  if (iters > 0 && wall > 0.0 && baseline[batch_size] > 0.0) {
-    state.counters["speedup"] =
-        baseline[batch_size] / (wall / static_cast<double>(iters));
-  }
-}
-
 void RegisterAll() {
   int64_t max_batch = EnvInt("REPTILE_FIG8_MAX_BATCH", 16);
   if (max_batch <= 0) max_batch = 16;
-  int64_t max_threads = EnvInt("REPTILE_FIG8_MAX_THREADS", 8);
-  if (max_threads <= 0) max_threads = 8;
-  VerifyIdenticalAcrossThreads(max_batch, static_cast<int>(max_threads));
+  VerifyBatchedEqualsSequential(max_batch);
   for (auto fn : {std::make_pair("Fig8/MultiQuery/Batched", BM_MultiQuery_Batched),
                   std::make_pair("Fig8/MultiQuery/Sequential", BM_MultiQuery_Sequential)}) {
     auto* bench = benchmark::RegisterBenchmark(fn.first, fn.second)
@@ -264,10 +196,6 @@ void RegisterAll() {
                       ->MinTime(0.05);
     for (int64_t n = 1; n <= max_batch; n *= 2) bench->Arg(n);
   }
-  auto* parallel = benchmark::RegisterBenchmark("Fig8/MultiQuery/Parallel", BM_MultiQuery_Parallel)
-                       ->Unit(benchmark::kMillisecond)
-                       ->MinTime(0.05);
-  for (int64_t t = 1; t <= max_threads; t *= 2) parallel->Args({max_batch, t});
 }
 
 }  // namespace
@@ -286,7 +214,7 @@ int main(int argc, char** argv) {
   }
   if (!reptile::FitViolations().empty()) return 1;
   std::fprintf(stderr,
-               "fig08 fits: batched and parallel runs %lld per batch, sequential %lld per "
+               "fig08 fits: batched runs %lld per batch, sequential %lld per "
                "complaint (%lld runs checked)\n",
                static_cast<long long>(reptile::kFitsPerBatch),
                static_cast<long long>(reptile::kFitsPerBatch),

@@ -6,12 +6,17 @@
 // BENCH_observability.json.
 //
 // The contract scripts/check.sh asserts: the instrumented arm records spans
-// (the pipeline is actually traced, not silently skipped) and costs less
-// than 2% over the no-op arm — with a small absolute floor so a sub-
-// millisecond scheduling wobble on a 1-CPU CI box cannot fail a relative
-// gate. Both arms run over a pre-warmed dataset and take the minimum of
-// several repeats: overhead is a steady-state property, and min-of-N is the
-// noise-robust estimator for it.
+// (the pipeline is actually traced, not silently skipped) and tracing costs
+// less than 2% of the untraced latency. The panel request takes about a
+// millisecond, so the traced-minus-untraced wall delta is mostly scheduling
+// jitter and cannot carry the gate; it is reported as `overhead_pct` only.
+// The gate instead measures the instrumentation directly: a fixed loop of
+// span recordings (ElapsedSeconds + TraceContext::AddSpan +
+// Histogram::Observe, what one traced stage costs) gives the per-span cost,
+// and spans-per-request x per-span cost must stay under 2% of the untraced
+// min-of-repeats latency. Both request arms run over a pre-warmed dataset
+// and take the minimum of several repeats: overhead is a steady-state
+// property, and min-of-N is the noise-robust estimator for it.
 //
 // Benchmark-free (no google-benchmark dependency) like the other gate
 // benches: it must build and run wherever the library builds.
@@ -37,9 +42,7 @@ namespace {
 
 constexpr int kRepeats = 9;
 constexpr double kMaxOverheadPct = 2.0;
-// Absolute noise floor: a delta this small is scheduling jitter, not
-// instrumentation cost, regardless of what the ratio says.
-constexpr double kNoiseFloorMs = 0.5;
+constexpr int kSpanLoop = 4096;  // span recordings per timed repeat
 
 Dataset MakePanel() {
   PanelSpec spec;
@@ -66,6 +69,26 @@ std::vector<ComplaintSpec> PanelComplaints() {
         ComplaintSpec::TooHigh("std", "severity").Where("year", "y" + std::to_string(y)));
   }
   return complaints;
+}
+
+// Min-of-repeats cost of recording one span the way a traced request does:
+// clock reads for start and duration, TraceContext::AddSpan with a stage
+// name and a formatted detail, and the stage histogram's Observe. A fresh
+// context per repeat keeps the span vector from growing across repeats.
+double MeasurePerSpanNs(Histogram* histogram) {
+  double best_ns = 1e300;
+  for (int r = 0; r < kRepeats; ++r) {
+    TraceContext trace(MintTraceId());
+    Timer timer;
+    for (int i = 0; i < kSpanLoop; ++i) {
+      const double start = trace.ElapsedSeconds();
+      const double duration = trace.ElapsedSeconds() - start;
+      trace.AddSpan("fit", start, duration, "hits=" + std::to_string(i));
+      histogram->Observe(duration);
+    }
+    best_ns = std::min(best_ns, timer.Seconds() * 1e9 / kSpanLoop);
+  }
+  return best_ns;
 }
 
 void RunOrDie(Session& session, const std::vector<ComplaintSpec>& complaints,
@@ -126,18 +149,25 @@ int Run(const char* output_path) {
     }
   }
 
-  const double delta_ms = on_ms - off_ms;
-  const double overhead_pct = off_ms > 0.0 ? delta_ms / off_ms * 100.0 : 0.0;
-  const bool within_budget = overhead_pct < kMaxOverheadPct || delta_ms < kNoiseFloorMs;
+  const double overhead_pct = off_ms > 0.0 ? (on_ms - off_ms) / off_ms * 100.0 : 0.0;
+  // Every recorded stage span is one AddSpan + Observe pair; the overall
+  // latency Observe is counted as one more.
+  const double per_span_ns = MeasurePerSpanNs(stages["fit"]);
+  const int64_t spans_per_request = spans_recorded + 1;
+  const double instrumentation_ms =
+      static_cast<double>(spans_per_request) * per_span_ns / 1e6;
+  const double gated_pct = off_ms > 0.0 ? instrumentation_ms / off_ms * 100.0 : 0.0;
+  const bool within_budget = spans_recorded > 0 && gated_pct < kMaxOverheadPct;
 
-  char json[512];
+  char json[640];
   std::snprintf(json, sizeof(json),
                 "{\"workload\":\"fig08_panel_8x6x8\",\"repeats\":%d,"
                 "\"trace_off_ms\":%.3f,\"trace_on_ms\":%.3f,"
                 "\"overhead_pct\":%.2f,\"spans_recorded\":%lld,"
+                "\"per_span_ns\":%.1f,\"instrumentation_pct\":%.4f,"
                 "\"histogram_count\":%lld,\"within_budget\":%s}\n",
                 kRepeats, off_ms, on_ms, overhead_pct,
-                static_cast<long long>(spans_recorded),
+                static_cast<long long>(spans_recorded), per_span_ns, gated_pct,
                 static_cast<long long>(overall->count()),
                 within_budget ? "true" : "false");
 
@@ -156,9 +186,10 @@ int Run(const char* output_path) {
   }
   if (!within_budget) {
     std::fprintf(stderr,
-                 "FAIL: observability overhead %.2f%% (%.3fms) exceeds the %.1f%% "
-                 "budget (floor %.1fms)\n",
-                 overhead_pct, delta_ms, kMaxOverheadPct, kNoiseFloorMs);
+                 "FAIL: observability overhead %.4f%% (%lld spans x %.1fns of a %.3fms "
+                 "request) exceeds the %g%% budget\n",
+                 gated_pct, static_cast<long long>(spans_per_request), per_span_ns, off_ms,
+                 kMaxOverheadPct);
     return 1;
   }
   return 0;

@@ -114,21 +114,6 @@ ExploreRequest& ExploreRequest::DrillCache(std::string name) {
   return *this;
 }
 
-ExploreRequest& ExploreRequest::Threads(int n) {
-  num_threads = n;
-  return *this;
-}
-
-ExploreRequest& ExploreRequest::SharedPool(bool share) {
-  shared_pool = share;
-  return *this;
-}
-
-BatchOptions& BatchOptions::Threads(int n) {
-  num_threads = n;
-  return *this;
-}
-
 BatchOptions& BatchOptions::TopK(int k) {
   top_k = k;
   return *this;
@@ -171,13 +156,6 @@ Result<EngineOptions> ExploreRequest::Resolve() const {
   } else {
     return UnknownOption("drill_cache", drill_cache, "static, dynamic, cache_dynamic");
   }
-
-  if (num_threads < 0) {
-    return Status::InvalidArgument("num_threads must be >= 0 (0 = hardware concurrency), got " +
-                                   std::to_string(num_threads));
-  }
-  options.num_threads = num_threads;
-  options.share_pool = shared_pool;
   return options;
 }
 

@@ -83,23 +83,12 @@ struct ExploreRequest {
   ModelSpec model_spec;
   std::string random_effects = "intercepts";  // "intercepts" | "all"
   std::string drill_cache = "cache_dynamic";  // "static" | "dynamic" | "cache_dynamic"
-  // Worker threads for each Recommend/RecommendAll call: 0 = hardware
-  // concurrency, 1 = sequential. Recommendations are identical at every
-  // setting; only timings change.
-  int num_threads = 0;
-  // Fan compute out over the process-wide shared worker pool when the
-  // resolved width is the machine default (true, the default), so many
-  // concurrent sessions in one server share one set of workers. false keeps
-  // every pool session-owned.
-  bool shared_pool = true;
 
   ExploreRequest& TopK(int k);
   /// Sets the complete model configuration.
   ExploreRequest& Model(ModelSpec spec);
   ExploreRequest& RandomEffects(std::string name);
   ExploreRequest& DrillCache(std::string name);
-  ExploreRequest& Threads(int n);
-  ExploreRequest& SharedPool(bool share);
 
   /// Validates every knob and resolves to the internal engine options.
   Result<EngineOptions> Resolve() const;
@@ -110,8 +99,7 @@ struct ExploreRequest {
 /// the session's options. Overrides apply to that call only and never alter
 /// the session state.
 struct BatchOptions {
-  int num_threads = 0;  // 0 = session option; 1 = force sequential
-  int top_k = 0;        // 0 = session option
+  int top_k = 0;  // 0 = session option
   // Complete per-call model configuration (the wire's `options.model`):
   // disengaged inherits the session's; engaged REPLACES it wholesale for
   // this call, extra_repair_stats included.
@@ -122,7 +110,6 @@ struct BatchOptions {
   // (the default) records nothing.
   TraceContext* trace = nullptr;
 
-  BatchOptions& Threads(int n);
   BatchOptions& TopK(int k);
   /// Sets the complete per-call model configuration.
   BatchOptions& Model(ModelSpec spec);

@@ -228,10 +228,6 @@ Result<BatchExploreResponse> Session::RecommendAll(
 
 Result<BatchExploreResponse> Session::RecommendAll(std::span<const ComplaintSpec> complaints,
                                                    const BatchOptions& options) {
-  if (options.num_threads < 0) {
-    return Status::InvalidArgument("per-call num_threads must be >= 0 (0 = session option), got " +
-                                   std::to_string(options.num_threads));
-  }
   if (options.top_k < 0) {
     return Status::InvalidArgument("per-call top_k must be >= 0 (0 = session option), got " +
                                    std::to_string(options.top_k));
@@ -276,7 +272,6 @@ Result<BatchExploreResponse> Session::RecommendAll(std::span<const ComplaintSpec
   int64_t trained_before = engine.stats().models_trained;
   int64_t cache_hits_before = engine.stats().fit_cache_hits;
   BatchOverrides overrides;
-  overrides.num_threads = options.num_threads;
   overrides.top_k = options.top_k;
   overrides.trace = options.trace;
   if (options.model.has_value()) overrides.model = &*options.model;

@@ -87,7 +87,7 @@ class Session {
 
   /// Evaluates one complaint against every drillable hierarchy and returns
   /// the ranked drill-down groups. FailedPrecondition when every hierarchy
-  /// is exhausted. `options` holds per-call overrides (thread count, top-k)
+  /// is exhausted. `options` holds per-call overrides (top-k, model, trace)
   /// that apply to this invocation only.
   Result<ExploreResponse> Recommend(const ComplaintSpec& complaint,
                                     const BatchOptions& options = {});
@@ -95,10 +95,9 @@ class Session {
   /// Batched entry point: plans all complaints over one pass of the
   /// drill-down caches, training each shared (hierarchy, measure, primitive)
   /// model at most once, with plan assembly, model fits, and per-complaint
-  /// ranking fanned out across the session's worker threads
-  /// (ExploreRequest::Threads at construction, BatchOptions::Threads per
-  /// call). responses[i] answers complaints[i] exactly as a sequential
-  /// Recommend(complaints[i]) would, at any thread count.
+  /// ranking fanned out across the process-wide shared worker pool.
+  /// responses[i] answers complaints[i] exactly as a sequential
+  /// Recommend(complaints[i]) would.
   ///
   /// Sessions are not thread-safe: issue one call at a time per session;
   /// parallelism happens inside the call. DIFFERENT sessions over one shared

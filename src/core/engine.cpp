@@ -114,7 +114,6 @@ Engine::Engine(const Dataset* dataset, SharedAggregateCache* shared_cache,
       drill_state_(dataset, options.drill_mode, shared_cache, epochs),
       version_token_(std::move(version_token)) {
   REPTILE_CHECK(dataset != nullptr);
-  REPTILE_CHECK_GE(options_.num_threads, 0);
 }
 
 Engine::Engine(const Dataset* dataset, EngineOptions options)
@@ -239,25 +238,6 @@ Recommendation Engine::RecommendDrillDown(const Complaint& complaint) {
   return std::move(batch.front());
 }
 
-ThreadPool* Engine::PoolFor(int num_threads) {
-  if (num_threads <= 1) return nullptr;
-  // Machine-default width with sharing on: every engine in the process fans
-  // out over the one SharedThreadPool(), so N concurrent sessions cost one
-  // set of workers, not N. Concurrent ParallelFor calls on a pool are safe
-  // (per-call latches); the engine's own tasks never submit to the pool they
-  // run on, so sharing cannot deadlock.
-  if (options_.share_pool && num_threads == ThreadPool::DefaultThreads()) {
-    return SharedThreadPool();
-  }
-  // Otherwise: one owned pool per requested width, kept for the engine's
-  // lifetime — a caller alternating per-call widths (say 4 and 8) must not
-  // tear down and respawn workers on every batch. Idle pools cost a few
-  // parked threads; the set of widths a caller actually uses is small.
-  std::unique_ptr<ThreadPool>& pool = pools_[num_threads];
-  if (pool == nullptr) pool = std::make_unique<ThreadPool>(num_threads);
-  return pool.get();
-}
-
 std::vector<Recommendation> Engine::RecommendBatch(std::span<const Complaint> complaints,
                                                    const BatchOverrides& overrides,
                                                    BatchTiming* timing) {
@@ -265,16 +245,17 @@ std::vector<Recommendation> Engine::RecommendBatch(std::span<const Complaint> co
   if (complaints.empty()) return {};  // nothing to plan — skip the cache pass
   Timer wall_timer;
 
-  REPTILE_CHECK_GE(overrides.num_threads, 0);
   REPTILE_CHECK_GE(overrides.top_k, 0);
-  int num_threads = overrides.num_threads > 0 ? overrides.num_threads : options_.num_threads;
-  if (num_threads == 0) num_threads = ThreadPool::DefaultThreads();
   const int top_k = overrides.top_k > 0 ? overrides.top_k : options_.top_k;
   // One resolved ModelSpec for the whole call: per-call override or engine
   // option, backend canonicalized.
   const ModelSpec spec = EffectiveModelSpec(overrides);
   const std::vector<AggFn>& extra_stats = spec.extra_repair_stats;
-  ThreadPool* pool = PoolFor(num_threads);
+  // Every fan-out below runs on the process-wide pool: concurrent engines
+  // share its workers (per-call latches keep their ParallelFor joins apart),
+  // and the engine's tasks never submit to the pool they run on, so sharing
+  // cannot deadlock.
+  ThreadPool* pool = SharedThreadPool();
 
   drill_state_.BeginInvocation();
 

@@ -40,7 +40,6 @@
 
 namespace reptile {
 
-class ThreadPool;              // parallel/thread_pool.h
 class SharedFittedModelCache;  // factor/model_cache.h
 struct FittedModel;            // factor/model_cache.h
 class TraceContext;            // obs/trace.h
@@ -80,26 +79,13 @@ struct EngineOptions {
   ModelSpec model;
   RandomEffects random_effects = RandomEffects::kInterceptOnly;
   DrillDownState::Mode drill_mode = DrillDownState::Mode::kCacheDynamic;
-  // Worker threads for the plan/execute fan-out: 0 = hardware concurrency,
-  // 1 = fully sequential (inline, no pool). Recommendations are element-wise
-  // identical at every setting; only the timing fields differ.
-  int num_threads = 0;
-  // When true (the default) and the resolved width equals the machine-wide
-  // default, the fan-out runs on the process-wide SharedThreadPool() so many
-  // concurrent engines in one process (a server) share one set of workers
-  // instead of each spawning hardware_concurrency threads. Set false to keep
-  // every pool engine-owned (isolation; e.g. embedding next to another
-  // workload). Explicit non-default widths always use an owned pool of
-  // exactly that width.
-  bool share_pool = true;
 };
 
 /// Per-invocation overrides for one RecommendBatch call, distinct from the
 /// engine-construction options. Zero-valued (or null) fields inherit
 /// EngineOptions.
 struct BatchOverrides {
-  int num_threads = 0;  // 0 = engine option; 1 = force sequential
-  int top_k = 0;        // 0 = engine option
+  int top_k = 0;  // 0 = engine option
   // Complete per-call ModelSpec: nullptr = engine option. When set it
   // replaces the engine's model configuration wholesale for this call,
   // extra_repair_stats included. The pointee is borrowed for the duration
@@ -193,13 +179,14 @@ struct EngineStats {
 ///              fit once between them — then per complaint rank its sibling
 ///              groups.
 ///
-/// Within one RecommendBatch call, plan assembly, model fits, and complaint
-/// rankings are independent tasks dispatched over a fixed-size worker pool
-/// (EngineOptions::num_threads / BatchOverrides::num_threads); every task is
-/// single-threaded internally and all inputs it shares (dataset, f-trees,
-/// local aggregates, the plan's group statistics) are immutable by the time
-/// it runs, so output is deterministic and element-wise identical to the
-/// sequential path.
+/// Within one RecommendBatch call, aggregate prefetch, plan assembly, group
+/// statistics, model fits, and complaint rankings are independent tasks
+/// dispatched over the process-wide SharedThreadPool() — every engine in the
+/// process fans out over the same DefaultThreads() workers, so no call
+/// creates a thread. Every task is single-threaded internally and all inputs
+/// it shares (dataset, f-trees, local aggregates, the plan's group
+/// statistics) are immutable by the time it runs, so output is deterministic
+/// and element-wise identical to the sequential path.
 class Engine {
  public:
   /// Borrowing constructor: the engine reads `dataset` (caller keeps it
@@ -271,12 +258,12 @@ class Engine {
   /// drill-down caches. Complaints that share a hierarchy extension reuse the
   /// feature-matrix extension and the trained primitive models. Per-hierarchy
   /// plan assembly, per-(hierarchy, measure, primitive) model fits, and
-  /// per-complaint ranking fan out across a fixed-size worker pool (the
-  /// num_threads knob; each individual fit stays single-threaded) and results
-  /// are merged in complaint order, so the recommendations are element-wise
-  /// identical to N sequential RecommendDrillDown calls at any thread count
-  /// (timing fields reflect the shared work). The engine itself is not
-  /// thread-safe: callers issue one batch at a time; concurrency is internal.
+  /// per-complaint ranking fan out across the shared worker pool (each
+  /// individual fit stays single-threaded) and results are merged in
+  /// complaint order, so the recommendations are element-wise identical to N
+  /// sequential RecommendDrillDown calls (timing fields reflect the shared
+  /// work). The engine itself is not thread-safe: callers issue one batch at
+  /// a time; concurrency is internal.
   std::vector<Recommendation> RecommendBatch(std::span<const Complaint> complaints,
                                              const BatchOverrides& overrides = {},
                                              BatchTiming* timing = nullptr);
@@ -340,13 +327,6 @@ class Engine {
                                            double charged_train_seconds,
                                            bool charge_build) const;
 
-  /// The worker pool for one batch: nullptr when num_threads resolves to 1;
-  /// the process-wide SharedThreadPool() when share_pool is on and the width
-  /// is the machine default; otherwise an owned pool of that width, created
-  /// once and reused by every later batch requesting the same width (no
-  /// churn when per-call widths vary).
-  ThreadPool* PoolFor(int num_threads);
-
   std::shared_ptr<const void> owner_;  // may be null; keeps dataset_ alive
   const Dataset* dataset_;
   SharedFittedModelCache* model_cache_;  // borrowed via owner_; may be null
@@ -368,7 +348,6 @@ class Engine {
   std::vector<CustomFeatureSpec> custom_features_;
   std::vector<std::string> z_exclusions_;
   EngineStats stats_;
-  std::map<int, std::unique_ptr<ThreadPool>> pools_;  // by width; see PoolFor
 };
 
 }  // namespace reptile

@@ -20,8 +20,10 @@
 //                         pre-committed, so year-scoped complaints work
 //                         out of the box)
 //   --port N              listen port (default 8080; 0 = ephemeral, printed)
-//   --http-threads N      compute workers behind the event loop (default 4)
-//   --engine-threads N    per-call engine fan-out (default 0 = hardware)
+//   --http-threads N      compute workers behind the event loop: how many
+//                         requests run at once (default 4); each request's
+//                         engine work fans out on the process-wide shared
+//                         pool (hardware-concurrency wide)
 //   --top-k N             groups returned per candidate (default 5)
 //   --max-body-bytes N    request body cap (default 8 MiB)
 //   --session-ttl N       evict per-client sessions idle > N seconds
@@ -87,10 +89,13 @@
 //
 // The front end is the epoll reactor (net/reactor_server.h): one event
 // thread owns every connection and --http-threads compute workers run the
-// handlers, so an idle or slow client costs KBs, not a thread. POST
-// /v1/datasets accepts a streamed text/csv body (typing in the query string
-// — see server/service.h) fed incrementally through CsvStreamParser, and
-// /healthz carries the reactor's transport counters under "transport".
+// handlers, so an idle or slow client costs KBs, not a thread. Each handler
+// fans its engine work out on the process-wide SharedThreadPool(). Besides
+// main, the event thread and those two fixed pools are the only threads the
+// process runs; no request can create another. POST /v1/datasets accepts a
+// streamed text/csv body (typing in the query string — see
+// server/service.h) fed incrementally through CsvStreamParser, and /healthz
+// carries the reactor's transport counters under "transport".
 //
 // Datasets loaded at startup (--demo / --csv) are registered in the shared
 // DatasetRegistry with a default session each (the deprecated
@@ -172,7 +177,6 @@ struct Args {
   bool demo = false;
   int port = 8080;
   int http_threads = 4;
-  int engine_threads = 0;
   int top_k = 5;
   int session_ttl = 0;
   std::string dataset_root;
@@ -201,7 +205,7 @@ struct Args {
   std::fprintf(stderr,
                "usage: %s (--demo | --csv PATH --dimensions a,b --measures x "
                "--hierarchy name=a,b [...]) [--name N] [--commit H]... "
-               "[--port P] [--http-threads N] [--engine-threads N] [--top-k K] "
+               "[--port P] [--http-threads N] [--top-k K] "
                "[--session-ttl S] [--dataset-root DIR] [--max-sessions N] "
                "[--max-datasets N] [--max-body-bytes N] [--separator C] "
                "[--auth-token T] [--stream-threshold N] "
@@ -270,8 +274,6 @@ Args ParseArgs(int argc, char** argv) {
       args.port = static_cast<int>(port);
     } else if (flag == "--http-threads") {
       args.http_threads = std::atoi(value_of(i).c_str());
-    } else if (flag == "--engine-threads") {
-      args.engine_threads = std::atoi(value_of(i).c_str());
     } else if (flag == "--top-k") {
       args.top_k = std::atoi(value_of(i).c_str());
     } else if (flag == "--session-ttl") {
@@ -348,7 +350,7 @@ int Main(int argc, char** argv) {
   std::function<std::string()> transport_stats;
 
   ServiceOptions service_options;
-  service_options.session_defaults.TopK(args.top_k).Threads(args.engine_threads);
+  service_options.session_defaults.TopK(args.top_k);
   service_options.session_ttl_seconds = args.session_ttl;
   service_options.dataset_path_root = args.dataset_root;
   service_options.max_sessions = args.max_sessions;

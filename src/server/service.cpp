@@ -273,16 +273,12 @@ Result<WireOptions> ParseOptions(const JsonValue& body) {
   if (value == nullptr) return options;
   const std::string context = "options";
   if (!value->is_object()) return WrongType(context, "an object", *value);
-  REPTILE_RETURN_IF_ERROR(CheckKnownKeys(
-      *value, context, {"threads", "top_k", "model", "zero_timings"}));
+  REPTILE_RETURN_IF_ERROR(CheckKnownKeys(*value, context, {"top_k", "model", "zero_timings"}));
   if (const JsonValue* model = value->Find("model")) {
     Result<ModelSpec> spec = ParseModelSpec(*model, context + ".model");
     if (!spec.ok()) return spec.status();
     options.batch.model = std::move(*spec);
   }
-  Result<int> threads = IntField(*value, context, "threads", 0);
-  if (!threads.ok()) return threads.status();
-  options.batch.num_threads = *threads;
   Result<int> top_k = IntField(*value, context, "top_k", 0);
   if (!top_k.ok()) return top_k.status();
   options.batch.top_k = *top_k;
@@ -1774,17 +1770,12 @@ HttpResponse ReptileService::HandleSessionCreate(const std::string& body) {
     if (!options->is_object()) {
       return ErrorResponse(WrongType(context, "an object", *options));
     }
-    Status option_keys = CheckKnownKeys(*options, context, {"top_k", "threads", "model"});
+    Status option_keys = CheckKnownKeys(*options, context, {"top_k", "model"});
     if (!option_keys.ok()) return ErrorResponse(option_keys);
     if (options->Find("top_k") != nullptr) {
       Result<int> top_k = IntField(*options, context, "top_k", 0);
       if (!top_k.ok()) return ErrorResponse(top_k.status());
       session_options.TopK(*top_k);
-    }
-    if (options->Find("threads") != nullptr) {
-      Result<int> threads = IntField(*options, context, "threads", 0);
-      if (!threads.ok()) return ErrorResponse(threads.status());
-      session_options.Threads(*threads);
     }
     if (const JsonValue* model = options->Find("model")) {
       Result<ModelSpec> spec = ParseModelSpec(*model, context + ".model");

@@ -179,9 +179,9 @@ struct ServiceOptions {
   // {"csv": ...} uploads are always available.
   std::string dataset_path_root;
 
-  // Session options (top_k, threads, model, ...) applied to every session
-  // the service opens: default sessions, POST /v1/sessions (whose per-call
-  // "options" override top_k / threads), and uploaded datasets.
+  // Session options (top_k, model, ...) applied to every session the
+  // service opens: default sessions, POST /v1/sessions (whose "options"
+  // override top_k / model), and uploaded datasets.
   ExploreRequest session_defaults;
 
   // Resource caps — both routes are unauthenticated, so without bounds a

@@ -3,17 +3,21 @@
 //    the pool drains on destruction, results land in index order;
 //  * Rng sub-streams — deterministic in (seed, stream), decorrelated across
 //    streams, independent of the parent's draw position;
-//  * determinism — RecommendAll at num_threads 1 / 2 / 8 is element-wise
-//    identical to the sequential output, on the fig08-style workload and on
-//    randomized chain datasets, through both the session facade and the
-//    engine; and BatchTiming reports summed fit work next to wall time.
+//  * determinism — a batched RecommendAll is element-wise identical to one
+//    Recommend call per complaint, also when identical sessions (or engines)
+//    run at once from several threads and their tasks interleave on the one
+//    SharedThreadPool(), on the fig08-style workload and on randomized chain
+//    datasets, through both the session facade and the engine; and
+//    BatchTiming reports summed fit work next to wall time.
 
 #include <atomic>
 #include <chrono>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -211,7 +215,7 @@ TEST(RngStreamTest, StreamsSafeToDrawConcurrently) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine determinism across thread counts
+// Engine determinism on the shared pool
 // ---------------------------------------------------------------------------
 
 // The fig08 panel: district x village x year severity, years committed so
@@ -267,39 +271,77 @@ void ExpectSameResponse(const ExploreResponse& a, const ExploreResponse& b) {
   }
 }
 
-Session MakePanelSession(int num_threads) {
-  Result<Session> session =
-      Session::Create(MakePanel(), ExploreRequest().Threads(num_threads));
+// Identical sessions/engines driven at once, one std::thread each: their
+// fan-outs interleave on the one SharedThreadPool().
+constexpr int kDrivers = 4;
+
+template <typename Body>
+void DriveConcurrently(Body body) {
+  std::vector<std::thread> drivers;
+  for (int t = 0; t < kDrivers; ++t) drivers.emplace_back([&body, t] { body(t); });
+  for (std::thread& driver : drivers) driver.join();
+}
+
+Session MakePanelSession() {
+  Result<Session> session = Session::Create(MakePanel());
   EXPECT_TRUE(session.ok()) << session.status().ToString();
   Status committed = session->Commit("time");
   EXPECT_TRUE(committed.ok()) << committed.ToString();
   return std::move(session).value();
 }
 
+std::vector<Session> MakePanelSessions() {
+  std::vector<Session> sessions;
+  for (int t = 0; t < kDrivers; ++t) sessions.push_back(MakePanelSession());
+  return sessions;
+}
+
+// The reference every batch must reproduce: one Recommend call per complaint.
+std::vector<ExploreResponse> RecommendOneByOne(Session& session,
+                                               const std::vector<ComplaintSpec>& complaints) {
+  std::vector<ExploreResponse> responses;
+  for (const ComplaintSpec& complaint : complaints) {
+    Result<ExploreResponse> response = session.Recommend(complaint);
+    EXPECT_TRUE(response.ok()) << response.status().ToString();
+    if (response.ok()) responses.push_back(std::move(response).value());
+  }
+  return responses;
+}
+
+void ExpectSameBatch(const std::optional<BatchExploreResponse>& batch,
+                     const std::vector<ExploreResponse>& reference) {
+  ASSERT_TRUE(batch.has_value());
+  ASSERT_EQ(batch->responses.size(), reference.size());
+  for (size_t i = 0; i < reference.size(); ++i) {
+    ExpectSameResponse(batch->responses[i], reference[i]);
+  }
+}
+
 TEST(ParallelEngineTest, BatchIdenticalAcrossThreadCounts) {
   std::vector<ComplaintSpec> complaints = PanelComplaints();
-  Session sequential = MakePanelSession(1);
-  Result<BatchExploreResponse> reference =
-      sequential.RecommendAll(std::span<const ComplaintSpec>(complaints));
-  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  Session one_by_one = MakePanelSession();
+  std::vector<ExploreResponse> reference = RecommendOneByOne(one_by_one, complaints);
+  ASSERT_EQ(reference.size(), complaints.size());
 
-  for (int threads : {2, 8}) {
-    Session parallel = MakePanelSession(threads);
-    Result<BatchExploreResponse> batch =
-        parallel.RecommendAll(std::span<const ComplaintSpec>(complaints));
-    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
-    EXPECT_EQ(batch->models_trained, reference->models_trained);
-    ASSERT_EQ(batch->responses.size(), reference->responses.size());
-    for (size_t i = 0; i < batch->responses.size(); ++i) {
-      ExpectSameResponse(batch->responses[i], reference->responses[i]);
-    }
+  std::vector<Session> sessions = MakePanelSessions();
+  std::vector<std::optional<BatchExploreResponse>> batches(kDrivers);
+  DriveConcurrently([&](int t) {
+    Result<BatchExploreResponse> batch = sessions[static_cast<size_t>(t)].RecommendAll(
+        std::span<const ComplaintSpec>(complaints));
+    if (batch.ok()) batches[static_cast<size_t>(t)] = std::move(batch).value();
+  });
+  for (const std::optional<BatchExploreResponse>& batch : batches) {
+    ASSERT_TRUE(batch.has_value());
+    ExpectSameBatch(batch, reference);
+    // Every session owns its dataset's caches, so each trains the same set.
+    EXPECT_EQ(batch->models_trained, batches.front()->models_trained);
   }
 }
 
 TEST(ParallelEngineTest, BatchMatchesSequentialRecommends) {
   std::vector<ComplaintSpec> complaints = PanelComplaints();
-  Session one_by_one = MakePanelSession(8);
-  Session batched = MakePanelSession(8);
+  Session one_by_one = MakePanelSession();
+  Session batched = MakePanelSession();
   Result<BatchExploreResponse> batch =
       batched.RecommendAll(std::span<const ComplaintSpec>(complaints));
   ASSERT_TRUE(batch.ok()) << batch.status().ToString();
@@ -312,15 +354,15 @@ TEST(ParallelEngineTest, BatchMatchesSequentialRecommends) {
 
 TEST(ParallelEngineTest, PerCallOverridesApplyToOneCallOnly) {
   std::vector<ComplaintSpec> complaints = PanelComplaints();
-  Session session = MakePanelSession(1);
+  Session session = MakePanelSession();
   Result<BatchExploreResponse> reference =
       session.RecommendAll(std::span<const ComplaintSpec>(complaints));
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
 
-  // Same call with per-call threads + top_k overrides: same recommendations,
+  // Same call with a per-call top_k override: same recommendations,
   // truncated to one group per candidate.
   Result<BatchExploreResponse> overridden = session.RecommendAll(
-      std::span<const ComplaintSpec>(complaints), BatchOptions().Threads(4).TopK(1));
+      std::span<const ComplaintSpec>(complaints), BatchOptions().TopK(1));
   ASSERT_TRUE(overridden.ok()) << overridden.status().ToString();
   for (size_t i = 0; i < complaints.size(); ++i) {
     const ExploreResponse& ref = reference->responses[i];
@@ -347,36 +389,12 @@ TEST(ParallelEngineTest, PerCallOverridesApplyToOneCallOnly) {
   }
 }
 
-TEST(ParallelEngineTest, SharedPoolAndOwnedPoolAreIdentical) {
-  // Default sessions fan out over the process-wide SharedThreadPool() when
-  // the width is the machine default; SharedPool(false) opts out into an
-  // engine-owned pool. Recommendations must be identical either way.
-  std::vector<ComplaintSpec> complaints = PanelComplaints();
-  int width = ThreadPool::DefaultThreads();
-  Session shared = MakePanelSession(width);
-  Result<Session> owned_session =
-      Session::Create(MakePanel(), ExploreRequest().Threads(width).SharedPool(false));
-  ASSERT_TRUE(owned_session.ok()) << owned_session.status().ToString();
-  ASSERT_TRUE(owned_session->Commit("time").ok());
-
-  Result<BatchExploreResponse> from_shared =
-      shared.RecommendAll(std::span<const ComplaintSpec>(complaints));
-  ASSERT_TRUE(from_shared.ok()) << from_shared.status().ToString();
-  Result<BatchExploreResponse> from_owned =
-      owned_session->RecommendAll(std::span<const ComplaintSpec>(complaints));
-  ASSERT_TRUE(from_owned.ok()) << from_owned.status().ToString();
-  ASSERT_EQ(from_shared->responses.size(), from_owned->responses.size());
-  for (size_t i = 0; i < from_shared->responses.size(); ++i) {
-    ExpectSameResponse(from_shared->responses[i], from_owned->responses[i]);
-  }
-}
-
 TEST(ParallelEngineTest, PerCallExtraRepairStatsOverride) {
   // MEAN decomposes into {mean} alone, so the per-call extra visibly adds a
   // "count" prediction; a per-call spec without extras strips the
   // session-level extras for that call only.
   ComplaintSpec complaint = ComplaintSpec::TooHigh("mean", "severity").Where("year", "y0");
-  Session plain = MakePanelSession(1);
+  Session plain = MakePanelSession();
   Result<ExploreResponse> without = plain.Recommend(complaint);
   ASSERT_TRUE(without.ok()) << without.status().ToString();
   const GroupResponse& without_group = without->best()->groups.front();
@@ -394,8 +412,7 @@ TEST(ParallelEngineTest, PerCallExtraRepairStatsOverride) {
 
   // Session-level extras, toggled off per call.
   Result<Session> with_session_extras =
-      Session::Create(MakePanel(), ExploreRequest().Threads(1).Model(
-                                       ModelSpec().RepairAlso(AggFn::kCount)));
+      Session::Create(MakePanel(), ExploreRequest().Model(ModelSpec().RepairAlso(AggFn::kCount)));
   ASSERT_TRUE(with_session_extras.ok()) << with_session_extras.status().ToString();
   ASSERT_TRUE(with_session_extras->Commit("time").ok());
   Result<ExploreResponse> session_extra = with_session_extras->Recommend(complaint);
@@ -408,19 +425,15 @@ TEST(ParallelEngineTest, PerCallExtraRepairStatsOverride) {
 }
 
 TEST(ParallelEngineTest, RejectsNegativeOverrides) {
-  Session session = MakePanelSession(1);
+  Session session = MakePanelSession();
   ComplaintSpec complaint = ComplaintSpec::TooHigh("std", "severity").Where("year", "y0");
-  EXPECT_EQ(session.RecommendAll({complaint}, BatchOptions().Threads(-1)).status().code(),
-            StatusCode::kInvalidArgument);
   EXPECT_EQ(session.RecommendAll({complaint}, BatchOptions().TopK(-2)).status().code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(Session::Create(MakePanel(), ExploreRequest().Threads(-3)).status().code(),
             StatusCode::kInvalidArgument);
 }
 
 TEST(ParallelEngineTest, BatchTimingReportsWorkAndWall) {
   std::vector<ComplaintSpec> complaints = PanelComplaints();
-  Session session = MakePanelSession(4);
+  Session session = MakePanelSession();
   Result<BatchExploreResponse> batch =
       session.RecommendAll(std::span<const ComplaintSpec>(complaints));
   ASSERT_TRUE(batch.ok()) << batch.status().ToString();
@@ -441,8 +454,29 @@ TEST(ParallelEngineTest, BatchTimingReportsWorkAndWall) {
   EXPECT_NE(json.find("\"train_seconds\""), std::string::npos);
 }
 
+void ExpectSameRecommendation(const Recommendation& a, const Recommendation& b) {
+  EXPECT_EQ(a.best_index, b.best_index);
+  ASSERT_EQ(a.candidates.size(), b.candidates.size());
+  for (size_t c = 0; c < a.candidates.size(); ++c) {
+    const HierarchyRecommendation& ca = a.candidates[c];
+    const HierarchyRecommendation& cb = b.candidates[c];
+    EXPECT_EQ(ca.hierarchy, cb.hierarchy);
+    EXPECT_EQ(ca.attribute, cb.attribute);
+    EXPECT_EQ(ca.best_score, cb.best_score);
+    ASSERT_EQ(ca.top_groups.size(), cb.top_groups.size());
+    for (size_t g = 0; g < ca.top_groups.size(); ++g) {
+      EXPECT_EQ(ca.top_groups[g].description, cb.top_groups[g].description);
+      EXPECT_EQ(ca.top_groups[g].key, cb.top_groups[g].key);
+      EXPECT_EQ(ca.top_groups[g].score, cb.top_groups[g].score);
+      EXPECT_EQ(ca.top_groups[g].repaired_complaint_value,
+                cb.top_groups[g].repaired_complaint_value);
+      EXPECT_EQ(ca.top_groups[g].predicted, cb.top_groups[g].predicted);
+    }
+  }
+}
+
 // Randomized chain datasets (the Section 5.1.3 generator): several seeds,
-// engine-level comparison at 1 / 2 / 8 threads.
+// engine-level comparison of one batch against one call per complaint.
 TEST(ParallelEngineTest, RandomizedDatagenIdenticalAcrossThreadCounts) {
   for (uint64_t seed : {1u, 7u, 23u}) {
     SyntheticOptions options;
@@ -453,67 +487,69 @@ TEST(ParallelEngineTest, RandomizedDatagenIdenticalAcrossThreadCounts) {
     options.seed = seed;
     Dataset dataset = MakeChainDataset(options, /*rows=*/400);
 
-    Complaint complaint;
-    complaint.agg = AggFn::kMean;
-    complaint.measure_column = dataset.table().ColumnIndex("m");
-    complaint.direction = ComplaintDirection::kTooHigh;
+    std::vector<Complaint> complaints;
+    for (auto [agg, direction] :
+         {std::pair{AggFn::kMean, ComplaintDirection::kTooHigh},
+          std::pair{AggFn::kStd, ComplaintDirection::kTooHigh},
+          std::pair{AggFn::kSum, ComplaintDirection::kTooLow}}) {
+      Complaint complaint;
+      complaint.agg = agg;
+      complaint.measure_column = dataset.table().ColumnIndex("m");
+      complaint.direction = direction;
+      complaints.push_back(complaint);
+    }
 
     std::vector<Recommendation> reference;
     {
-      EngineOptions engine_options;
-      engine_options.num_threads = 1;
-      Engine engine(&dataset, engine_options);
-      reference = engine.RecommendBatch(std::span<const Complaint>(&complaint, 1));
-    }
-    for (int threads : {2, 8}) {
-      EngineOptions engine_options;
-      engine_options.num_threads = threads;
-      Engine engine(&dataset, engine_options);
-      std::vector<Recommendation> got =
-          engine.RecommendBatch(std::span<const Complaint>(&complaint, 1));
-      ASSERT_EQ(got.size(), reference.size());
-      for (size_t i = 0; i < got.size(); ++i) {
-        EXPECT_EQ(got[i].best_index, reference[i].best_index);
-        ASSERT_EQ(got[i].candidates.size(), reference[i].candidates.size());
-        for (size_t c = 0; c < got[i].candidates.size(); ++c) {
-          const HierarchyRecommendation& ca = got[i].candidates[c];
-          const HierarchyRecommendation& cb = reference[i].candidates[c];
-          EXPECT_EQ(ca.hierarchy, cb.hierarchy);
-          EXPECT_EQ(ca.attribute, cb.attribute);
-          EXPECT_EQ(ca.best_score, cb.best_score);
-          ASSERT_EQ(ca.top_groups.size(), cb.top_groups.size());
-          for (size_t g = 0; g < ca.top_groups.size(); ++g) {
-            EXPECT_EQ(ca.top_groups[g].description, cb.top_groups[g].description);
-            EXPECT_EQ(ca.top_groups[g].key, cb.top_groups[g].key);
-            EXPECT_EQ(ca.top_groups[g].score, cb.top_groups[g].score);
-            EXPECT_EQ(ca.top_groups[g].repaired_complaint_value,
-                      cb.top_groups[g].repaired_complaint_value);
-            EXPECT_EQ(ca.top_groups[g].predicted, cb.top_groups[g].predicted);
-          }
-        }
+      Engine engine(&dataset);
+      for (const Complaint& complaint : complaints) {
+        reference.push_back(engine.RecommendDrillDown(complaint));
       }
+    }
+    // Each driver owns its engine; the dataset is shared read-only.
+    std::vector<std::vector<Recommendation>> batches(kDrivers);
+    DriveConcurrently([&](int t) {
+      Engine engine(&dataset);
+      batches[static_cast<size_t>(t)] =
+          engine.RecommendBatch(std::span<const Complaint>(complaints));
+    });
+    for (const std::vector<Recommendation>& batch : batches) {
+      ASSERT_EQ(batch.size(), reference.size());
+      for (size_t i = 0; i < batch.size(); ++i) ExpectSameRecommendation(batch[i], reference[i]);
     }
   }
 }
 
-// Drill several levels deep with commits between parallel batches: the
-// drill-down cache prefetch must stay coherent with committed state.
+// Drill several levels deep with commits between batches: the drill-down
+// cache prefetch must stay coherent with committed state while other
+// sessions' batches share the pool.
 TEST(ParallelEngineTest, CommitLoopIdenticalAcrossThreadCounts) {
+  constexpr int kRounds = 2;
   std::vector<ComplaintSpec> complaints = PanelComplaints();
-  Session sequential = MakePanelSession(1);
-  Session parallel = MakePanelSession(8);
-  for (int round = 0; round < 2; ++round) {
-    Result<BatchExploreResponse> a =
-        sequential.RecommendAll(std::span<const ComplaintSpec>(complaints));
-    Result<BatchExploreResponse> b =
-        parallel.RecommendAll(std::span<const ComplaintSpec>(complaints));
-    ASSERT_TRUE(a.ok()) << a.status().ToString();
-    ASSERT_TRUE(b.ok()) << b.status().ToString();
-    for (size_t i = 0; i < complaints.size(); ++i) {
-      ExpectSameResponse(b->responses[i], a->responses[i]);
+  Session one_by_one = MakePanelSession();
+  std::vector<std::vector<ExploreResponse>> reference;
+  for (int round = 0; round < kRounds; ++round) {
+    reference.push_back(RecommendOneByOne(one_by_one, complaints));
+    ASSERT_TRUE(one_by_one.Commit("geo").ok());
+  }
+
+  std::vector<Session> sessions = MakePanelSessions();
+  std::vector<std::vector<std::optional<BatchExploreResponse>>> rounds(
+      kDrivers, std::vector<std::optional<BatchExploreResponse>>(kRounds));
+  DriveConcurrently([&](int t) {
+    Session& session = sessions[static_cast<size_t>(t)];
+    for (int round = 0; round < kRounds; ++round) {
+      Result<BatchExploreResponse> batch =
+          session.RecommendAll(std::span<const ComplaintSpec>(complaints));
+      if (!batch.ok() || !session.Commit("geo").ok()) return;
+      rounds[static_cast<size_t>(t)][static_cast<size_t>(round)] = std::move(batch).value();
     }
-    ASSERT_TRUE(sequential.Commit("geo").ok());
-    ASSERT_TRUE(parallel.Commit("geo").ok());
+  });
+  for (const std::vector<std::optional<BatchExploreResponse>>& driver : rounds) {
+    for (int round = 0; round < kRounds; ++round) {
+      ExpectSameBatch(driver[static_cast<size_t>(round)],
+                      reference[static_cast<size_t>(round)]);
+    }
   }
 }
 

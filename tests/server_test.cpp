@@ -13,6 +13,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/json_util.h"
@@ -236,7 +237,7 @@ TEST_F(ServerTest, RecommendSingleByteIdenticalWithPerCallOverrides) {
   ComplaintSpec complaint =
       ComplaintSpec::TooHigh("std", "severity").Where("year", "y2");
   Result<ExploreResponse> direct =
-      direct_.Recommend(complaint, BatchOptions().TopK(1).Threads(2));
+      direct_.Recommend(complaint, BatchOptions().TopK(1));
   ASSERT_TRUE(direct.ok()) << direct.status().ToString();
 
   HttpClient client = Client();
@@ -244,7 +245,7 @@ TEST_F(ServerTest, RecommendSingleByteIdenticalWithPerCallOverrides) {
       "/v1/recommend",
       R"({"dataset":"panel","complaint":{"aggregate":"std","measure":"severity",)"
       R"("where":[{"column":"year","value":"y2"}]},)"
-      R"("options":{"zero_timings":true,"top_k":1,"threads":2}})");
+      R"("options":{"zero_timings":true,"top_k":1}})");
   ASSERT_TRUE(response.ok()) << response.status().ToString();
   EXPECT_EQ(response->status, 200);
   EXPECT_EQ(response->body, TimelessJson(*direct));
@@ -340,10 +341,21 @@ TEST_F(ServerTest, RequestErrorSurface) {
   EXPECT_NE(wrong_type->body.find("complaints must be an array, got object"),
             std::string::npos)
       << wrong_type->body;
-  ExpectError(client.Post("/v1/recommend",
-                          R"({"dataset":"panel","complaint":{"aggregate":"std",)"
-                          R"("measure":"severity"},"options":{"threads":"four"}})"),
-              400, "INVALID_ARGUMENT");
+  // The engine has one width (the shared pool), so "threads" is an unknown
+  // field on every route that takes options, named in the 400.
+  for (const auto& [route, body] : std::vector<std::pair<std::string, std::string>>{
+           {"/v1/recommend",
+            R"({"dataset":"panel","complaint":{"aggregate":"std","measure":"severity"},)"
+            R"("options":{"threads":4}})"},
+           {"/v1/recommend_batch",
+            R"({"dataset":"panel","complaints":[{"aggregate":"std","measure":"severity"}],)"
+            R"("options":{"threads":4}})"},
+           {"/v1/sessions", R"({"dataset":"panel","options":{"threads":4}})"}}) {
+    Result<HttpClientResponse> threads = client.Post(route, body);
+    ExpectError(threads, 400, "INVALID_ARGUMENT");
+    EXPECT_NE(threads->body.find(R"(unknown field \"threads\" in options)"), std::string::npos)
+        << route << ": " << threads->body;
+  }
   // Unknown fields are rejected, not ignored.
   ExpectError(client.Post("/v1/recommend",
                           R"({"dataset":"panel","complaint":{"aggregate":"std",)"
