@@ -6,7 +6,7 @@
 # the library and tests again under ThreadSanitizer and re-run the suite, so
 # every PR exercises the parallel engine and server paths under race
 # detection, and once more under Address+UBSan focused on the byte-level
-# snapshot/codec suite. Future PRs must keep all stages green. Set
+# snapshot/codec suite and the factorised matrix kernels. Future PRs must keep all stages green. Set
 # REPTILE_SKIP_TSAN=1 to skip the TSan pass (e.g. on toolchains without
 # libtsan); REPTILE_SKIP_ASAN=1 likewise for the ASan pass;
 # REPTILE_SKIP_SMOKE=1 skips the server smoke (e.g. no curl, no loopback).
@@ -398,14 +398,16 @@ if [[ "${REPTILE_SKIP_ASAN:-0}" != "1" ]]; then
   # ASan+UBSan over the suites that parse or shuffle raw bytes: the snapshot
   # container/codec round trips and corruption sweeps, the LRU cache, the
   # CSV chunk-split framing, and the observability primitives (the renderers
-  # build Prometheus/JSON text by hand) — the places where an off-by-one
-  # reads out of bounds instead of racing.
+  # build Prometheus/JSON text by hand); and over the factorised matrix
+  # kernels, whose prefix-sum ranges, cluster child ranges and leaf-block
+  # strides are index arithmetic — the places where an off-by-one reads out
+  # of bounds instead of racing.
   cmake -B "$ASAN_BUILD_DIR" -S . -DREPTILE_ASAN=ON \
     -DREPTILE_BUILD_BENCHMARKS=OFF -DREPTILE_BUILD_EXAMPLES=OFF "$@"
   cmake --build "$ASAN_BUILD_DIR" -j "$(nproc)"
   ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
     ctest --test-dir "$ASAN_BUILD_DIR" --output-on-failure -j "$(nproc)" \
-      -R 'Snapshot|LruByteCache|CsvStream|Obs'
+      -R 'Snapshot|LruByteCache|CsvStream|Obs|FmatrixOps|ClusterOps|ClusterIterator|DeepForest|Materialize|Gram|WeightedColumnSum|FactorizedMatrix'
 fi
 
 if [[ "${REPTILE_SKIP_TSAN:-0}" != "1" ]]; then

@@ -104,16 +104,6 @@ ExploreRequest& ExploreRequest::Model(ModelSpec spec) {
   return *this;
 }
 
-ExploreRequest& ExploreRequest::RandomEffects(std::string name) {
-  random_effects = std::move(name);
-  return *this;
-}
-
-ExploreRequest& ExploreRequest::DrillCache(std::string name) {
-  drill_cache = std::move(name);
-  return *this;
-}
-
 BatchOptions& BatchOptions::TopK(int k) {
   top_k = k;
   return *this;
@@ -138,24 +128,6 @@ Result<EngineOptions> ExploreRequest::Resolve() const {
 
   REPTILE_RETURN_IF_ERROR(model_spec.Validate());
   options.model = model_spec;
-
-  if (random_effects == "intercepts") {
-    options.random_effects = RandomEffects::kInterceptOnly;
-  } else if (random_effects == "all") {
-    options.random_effects = RandomEffects::kAllFeatures;
-  } else {
-    return UnknownOption("random_effects", random_effects, "intercepts, all");
-  }
-
-  if (drill_cache == "static") {
-    options.drill_mode = DrillDownState::Mode::kStatic;
-  } else if (drill_cache == "dynamic") {
-    options.drill_mode = DrillDownState::Mode::kDynamic;
-  } else if (drill_cache == "cache_dynamic") {
-    options.drill_mode = DrillDownState::Mode::kCacheDynamic;
-  } else {
-    return UnknownOption("drill_cache", drill_cache, "static, dynamic, cache_dynamic");
-  }
   return options;
 }
 

@@ -78,17 +78,13 @@ struct AuxiliaryRequest {
 /// EngineOptions when the session is created.
 struct ExploreRequest {
   int top_k = 5;
-  // The model configuration: family, backend, EM caps, extra repair
-  // primitives and the fit-cache opt-out, in one value.
+  // The model configuration: family, backend, random-effect policy, EM caps,
+  // extra repair primitives and the fit-cache opt-out, in one value.
   ModelSpec model_spec;
-  std::string random_effects = "intercepts";  // "intercepts" | "all"
-  std::string drill_cache = "cache_dynamic";  // "static" | "dynamic" | "cache_dynamic"
 
   ExploreRequest& TopK(int k);
   /// Sets the complete model configuration.
   ExploreRequest& Model(ModelSpec spec);
-  ExploreRequest& RandomEffects(std::string name);
-  ExploreRequest& DrillCache(std::string name);
 
   /// Validates every knob and resolves to the internal engine options.
   Result<EngineOptions> Resolve() const;

@@ -223,13 +223,6 @@ ModelSpec Engine::EffectiveModelSpec(const BatchOverrides& overrides) const {
     }
     if (!multi_attribute) spec.backend = ModelSpec::Backend::kFactorized;
   }
-  if (spec.random_effects == ModelSpec::RandomPolicy::kDefault) {
-    // A spec that does not name a random-effect policy inherits the engine
-    // option — the pre-ModelSpec configuration surface sessions still use.
-    spec.random_effects = options_.random_effects == RandomEffects::kInterceptOnly
-                              ? ModelSpec::RandomPolicy::kIntercepts
-                              : ModelSpec::RandomPolicy::kAll;
-  }
   return spec;
 }
 
@@ -660,15 +653,9 @@ FittedModel Engine::FitPrimitive(const CandidatePlan& plan, int measure_column,
   }
 
   // Random-effect columns (§3.3.4): intercept-only by default, or every
-  // non-excluded feature. The policy comes from the effective spec (the
-  // caller canonicalized kDefault away); the engine option is only the
-  // fallback for a raw spec handed in directly.
+  // non-excluded feature.
   std::vector<int> z_cols;
-  bool intercept_only =
-      spec.random_effects == ModelSpec::RandomPolicy::kDefault
-          ? options_.random_effects == RandomEffects::kInterceptOnly
-          : spec.random_effects == ModelSpec::RandomPolicy::kIntercepts;
-  if (intercept_only) {
+  if (spec.random_effects == ModelSpec::RandomPolicy::kIntercepts) {
     z_cols.push_back(0);
   } else {
     for (int c = 0; c < fm.num_cols(); ++c) {

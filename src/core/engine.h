@@ -63,21 +63,11 @@ struct CustomFeatureSpec {
   CustomFeatureFn fn;
 };
 
-/// Random-effect matrix policy (Section 3.3.4). The paper sets Z = X by
-/// default but notes Z "may be tuned to only keep attributes relevant within
-/// clusters": with Z = X and small clusters the per-cluster regression can
-/// interpolate a corrupted group (high leverage), defeating the repair. The
-/// engine therefore defaults to random intercepts — the standard multilevel
-/// default (lme / statsmodels) — and offers Z = X as an option; individual
-/// features can further be excluded by name.
-enum class RandomEffects { kInterceptOnly, kAllFeatures };
-
 struct EngineOptions {
   int top_k = 5;
-  // How models are trained: family, backend, EM caps, extra repair
-  // primitives, fitted-model-cache opt-out.
+  // How models are trained: family, backend, random-effect policy, EM caps,
+  // extra repair primitives, fitted-model-cache opt-out.
   ModelSpec model;
-  RandomEffects random_effects = RandomEffects::kInterceptOnly;
   DrillDownState::Mode drill_mode = DrillDownState::Mode::kCacheDynamic;
 };
 
@@ -243,12 +233,11 @@ class Engine {
   Status ValidateModelSpec(const ModelSpec& spec) const;
 
   /// The ModelSpec a call with `overrides` would actually run: the per-call
-  /// spec (or the engine option) with kAuto canonicalized to the backend it will pick when that
-  /// is statically known (every feature single-attribute — always true
-  /// without multi-attribute auxiliaries), and RandomPolicy::kDefault
-  /// resolved to the engine-level policy (EngineOptions::random_effects).
-  /// This is both the response echo and the fitted-model cache-key spec, so
-  /// what clients see is what keyed the cache.
+  /// spec (or the engine option) with kAuto canonicalized to the backend it
+  /// will pick when that is statically known (every feature single-attribute
+  /// — always true without multi-attribute auxiliaries). This is both the
+  /// response echo and the fitted-model cache-key spec, so what clients see
+  /// is what keyed the cache.
   ModelSpec EffectiveModelSpec(const BatchOverrides& overrides = {}) const;
 
   /// Evaluates every drillable hierarchy and returns the ranked groups.

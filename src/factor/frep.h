@@ -5,9 +5,9 @@
 // approaches pay for explicitly — and one column per registered feature.
 // Columns are per-attribute value maps (code -> double), so X is fully
 // described by the trees plus O(#values) state; the intercept is a column
-// over the singleton tree. Multi-attribute features (Appendix H) are
-// supported through tuple maps and force the hybrid (row-enumeration) path
-// in the operators.
+// over the singleton tree. Multi-attribute features (Appendix H) are stored
+// as tuple maps and materialised by the dense backend (MaterializeMatrix);
+// the factorised operators in fmatrix/ require single-attribute columns.
 //
 // The attribute order is: trees in hierarchy order (the drill-down hierarchy
 // last, per Section 3.4), levels least-to-most specific within each tree.
@@ -81,9 +81,8 @@ class FactorizedMatrix {
   int64_t PrefixLeaves(int k) const { return prefix_leaves_[k]; }
   int64_t SuffixLeaves(int k) const { return suffix_leaves_[k]; }
 
-  /// True when every column is single-attribute (pure factorised operators
-  /// apply; otherwise operators fall back to row enumeration for the
-  /// multi-attribute columns).
+  /// True when every column is single-attribute: the factorised operators
+  /// apply; otherwise only materialisation does.
   bool AllSingleAttribute() const;
 
   /// Total number of attributes across trees and the flattened index of an

@@ -97,15 +97,11 @@ struct ClusterColumns {
   std::vector<int> intra;
   int intra_flat = -1;  // flat index of the intra attribute
 
-  // Per position: column index, flat attr (single-attribute columns only,
-  // -1 for multi), and whether the column is multi-attribute.
+  // Per position: column index and flat attr.
   std::vector<int> column_of;
   std::vector<int> flat_of;
-  std::vector<char> is_multi;
-  // flat attr -> inter positions of single columns on it.
+  // flat attr -> inter positions of columns on it.
   std::vector<std::vector<int>> inter_on_flat;
-  // inter positions of multi columns touched by each flat attr.
-  std::vector<std::vector<int>> multi_on_flat;
 };
 
 ClusterColumns ClassifyColumns(const FactorizedMatrix& fm, const std::vector<int>& cols) {
@@ -113,32 +109,16 @@ ClusterColumns ClassifyColumns(const FactorizedMatrix& fm, const std::vector<int
   AttrId intra = fm.IntraAttr();
   out.intra_flat = fm.FlatAttrIndex(intra);
   out.inter_on_flat.assign(static_cast<size_t>(fm.num_attrs()), {});
-  out.multi_on_flat.assign(static_cast<size_t>(fm.num_attrs()), {});
   for (size_t i = 0; i < cols.size(); ++i) {
     const FeatureColumn& column = fm.column(cols[i]);
-    bool varies = false;
-    if (column.is_multi) {
-      for (AttrId attr : column.attrs) {
-        if (attr == intra) varies = true;
-      }
-    } else {
-      varies = column.attr == intra;
-    }
     out.column_of.push_back(cols[i]);
-    out.is_multi.push_back(column.is_multi ? 1 : 0);
-    out.flat_of.push_back(column.is_multi ? -1 : fm.FlatAttrIndex(column.attr));
+    out.flat_of.push_back(fm.FlatAttrIndex(column.attr));
     int pos = static_cast<int>(i);
-    if (varies) {
+    if (column.attr == intra) {
       out.intra.push_back(pos);
     } else {
       out.inter.push_back(pos);
-      if (column.is_multi) {
-        for (AttrId attr : column.attrs) {
-          out.multi_on_flat[static_cast<size_t>(fm.FlatAttrIndex(attr))].push_back(pos);
-        }
-      } else {
-        out.inter_on_flat[static_cast<size_t>(out.flat_of.back())].push_back(pos);
-      }
+      out.inter_on_flat[static_cast<size_t>(out.flat_of.back())].push_back(pos);
     }
   }
   return out;
@@ -146,21 +126,11 @@ ClusterColumns ClassifyColumns(const FactorizedMatrix& fm, const std::vector<int
 
 // Value of column `cols[pos]` in the current cluster context; for intra
 // columns `child_code` supplies the intra attribute's value.
-double ColumnValueInCluster(const FactorizedMatrix& fm, int column_index,
-                            const std::vector<int32_t>& codes, int intra_flat,
-                            int32_t child_code, std::vector<int32_t>* key_scratch) {
-  const FeatureColumn& column = fm.column(column_index);
-  if (!column.is_multi) {
-    int flat = fm.FlatAttrIndex(column.attr);
-    int32_t code = flat == intra_flat ? child_code : codes[flat];
-    return column.ValueForCode(code);
-  }
-  key_scratch->resize(column.attrs.size());
-  for (size_t i = 0; i < column.attrs.size(); ++i) {
-    int flat = fm.FlatAttrIndex(column.attrs[i]);
-    (*key_scratch)[i] = flat == intra_flat ? child_code : codes[flat];
-  }
-  return column.ValueForTuple(*key_scratch);
+double ColumnValueInCluster(const FactorizedMatrix& fm, const ClusterColumns& cc, int pos,
+                            const std::vector<int32_t>& codes, int32_t child_code) {
+  int flat = cc.flat_of[static_cast<size_t>(pos)];
+  int32_t code = flat == cc.intra_flat ? child_code : codes[static_cast<size_t>(flat)];
+  return fm.column(cc.column_of[static_cast<size_t>(pos)]).ValueForCode(code);
 }
 
 }  // namespace
@@ -168,6 +138,7 @@ double ColumnValueInCluster(const FactorizedMatrix& fm, int column_index,
 void ForEachClusterGram(const FactorizedMatrix& fm, const std::vector<int>& cols,
                         const std::vector<double>* r,
                         const std::function<void(const ClusterData&)>& emit) {
+  REPTILE_CHECK(fm.AllSingleAttribute());
   size_t q = cols.size();
   ClusterColumns cc = ClassifyColumns(fm, cols);
   const FTree& last_tree = fm.tree(fm.num_trees() - 1);
@@ -187,7 +158,6 @@ void ForEachClusterGram(const FactorizedMatrix& fm, const std::vector<int>& cols
   std::vector<double> s1(cc.intra.size(), 0.0);
   Matrix s2(cc.intra.size(), cc.intra.size());
   std::vector<double> rx(cc.intra.size(), 0.0);
-  std::vector<int32_t> key_scratch;
   std::vector<int> changed_positions;
   std::vector<char> changed_flag(q, 0);
   double n_prev = 0.0;
@@ -209,15 +179,10 @@ void ForEachClusterGram(const FactorizedMatrix& fm, const std::vector<int>& cols
         for (int pos : cc.inter_on_flat[static_cast<size_t>(flat)]) {
           changed_positions.push_back(pos);
         }
-        for (int pos : cc.multi_on_flat[static_cast<size_t>(flat)]) {
-          changed_positions.push_back(pos);
-        }
       }
     }
     for (int pos : changed_positions) {
-      values[static_cast<size_t>(pos)] = ColumnValueInCluster(
-          fm, cc.column_of[static_cast<size_t>(pos)], it.codes(), cc.intra_flat, 0,
-          &key_scratch);
+      values[static_cast<size_t>(pos)] = ColumnValueInCluster(fm, cc, pos, it.codes(), 0);
       changed_flag[static_cast<size_t>(pos)] = 1;
     }
 
@@ -229,9 +194,7 @@ void ForEachClusterGram(const FactorizedMatrix& fm, const std::vector<int>& cols
     for (int64_t child = 0; child < n_c; ++child) {
       int32_t child_code = child_level.value[it.child_node_begin() + child];
       for (size_t i = 0; i < cc.intra.size(); ++i) {
-        child_values[i] =
-            ColumnValueInCluster(fm, cc.column_of[static_cast<size_t>(cc.intra[i])],
-                                 it.codes(), cc.intra_flat, child_code, &key_scratch);
+        child_values[i] = ColumnValueInCluster(fm, cc, cc.intra[i], it.codes(), child_code);
       }
       for (size_t i = 0; i < cc.intra.size(); ++i) {
         s1[i] += child_values[i];
@@ -308,6 +271,7 @@ void ForEachClusterGram(const FactorizedMatrix& fm, const std::vector<int>& cols
 void ForEachClusterLeft(const FactorizedMatrix& fm, const std::vector<int>& cols,
                         const std::vector<double>& r,
                         const std::function<void(const ClusterData&)>& emit) {
+  REPTILE_CHECK(fm.AllSingleAttribute());
   REPTILE_CHECK_EQ(static_cast<int64_t>(r.size()), fm.num_rows());
   ClusterColumns cc = ClassifyColumns(fm, cols);
   const FTree& last_tree = fm.tree(fm.num_trees() - 1);
@@ -317,29 +281,19 @@ void ForEachClusterLeft(const FactorizedMatrix& fm, const std::vector<int>& cols
 
   std::vector<double> values(cols.size(), 0.0);
   std::vector<double> ztr(cols.size(), 0.0);
-  std::vector<int32_t> key_scratch;
   bool first = true;
 
   ClusterIterator it(fm);
   for (bool ok = it.Start(); ok; ok = it.Next()) {
     if (first) {
       for (int pos : cc.inter) {
-        values[static_cast<size_t>(pos)] = ColumnValueInCluster(
-            fm, cc.column_of[static_cast<size_t>(pos)], it.codes(), cc.intra_flat, 0,
-            &key_scratch);
+        values[static_cast<size_t>(pos)] = ColumnValueInCluster(fm, cc, pos, it.codes(), 0);
       }
       first = false;
     } else {
       for (int flat : it.changed_attrs()) {
         for (int pos : cc.inter_on_flat[static_cast<size_t>(flat)]) {
-          values[static_cast<size_t>(pos)] = ColumnValueInCluster(
-              fm, cc.column_of[static_cast<size_t>(pos)], it.codes(), cc.intra_flat, 0,
-              &key_scratch);
-        }
-        for (int pos : cc.multi_on_flat[static_cast<size_t>(flat)]) {
-          values[static_cast<size_t>(pos)] = ColumnValueInCluster(
-              fm, cc.column_of[static_cast<size_t>(pos)], it.codes(), cc.intra_flat, 0,
-              &key_scratch);
+          values[static_cast<size_t>(pos)] = ColumnValueInCluster(fm, cc, pos, it.codes(), 0);
         }
       }
     }
@@ -352,10 +306,7 @@ void ForEachClusterLeft(const FactorizedMatrix& fm, const std::vector<int>& cols
       int32_t child_code = child_level.value[it.child_node_begin() + child];
       double rv = r[static_cast<size_t>(it.row_begin() + child)];
       for (int pos : cc.intra) {
-        ztr[pos] += ColumnValueInCluster(fm, cc.column_of[static_cast<size_t>(pos)],
-                                         it.codes(), cc.intra_flat, child_code,
-                                         &key_scratch) *
-                    rv;
+        ztr[pos] += ColumnValueInCluster(fm, cc, pos, it.codes(), child_code) * rv;
       }
     }
     ClusterData data;
@@ -369,13 +320,13 @@ void ForEachClusterLeft(const FactorizedMatrix& fm, const std::vector<int>& cols
 
 void ClusterRightMultiply(const FactorizedMatrix& fm, const std::vector<int>& cols,
                           const Matrix& b, std::vector<double>* out) {
+  REPTILE_CHECK(fm.AllSingleAttribute());
   REPTILE_CHECK_EQ(static_cast<int64_t>(b.rows()), fm.num_clusters());
   REPTILE_CHECK_EQ(b.cols(), cols.size());
   REPTILE_CHECK_EQ(static_cast<int64_t>(out->size()), fm.num_rows());
   ClusterColumns cc = ClassifyColumns(fm, cols);
   const FTree& last_tree = fm.tree(fm.num_trees() - 1);
   const FTree::Level& child_level = last_tree.level(last_tree.depth() - 1);
-  std::vector<int32_t> key_scratch;
   std::vector<double> values(cols.size(), 0.0);
   bool first = true;
 
@@ -384,22 +335,13 @@ void ClusterRightMultiply(const FactorizedMatrix& fm, const std::vector<int>& co
     // Inter values: refresh only what changed between adjacent clusters.
     if (first) {
       for (int pos : cc.inter) {
-        values[static_cast<size_t>(pos)] = ColumnValueInCluster(
-            fm, cc.column_of[static_cast<size_t>(pos)], it.codes(), cc.intra_flat, 0,
-            &key_scratch);
+        values[static_cast<size_t>(pos)] = ColumnValueInCluster(fm, cc, pos, it.codes(), 0);
       }
       first = false;
     } else {
       for (int flat : it.changed_attrs()) {
         for (int pos : cc.inter_on_flat[static_cast<size_t>(flat)]) {
-          values[static_cast<size_t>(pos)] = ColumnValueInCluster(
-              fm, cc.column_of[static_cast<size_t>(pos)], it.codes(), cc.intra_flat, 0,
-              &key_scratch);
-        }
-        for (int pos : cc.multi_on_flat[static_cast<size_t>(flat)]) {
-          values[static_cast<size_t>(pos)] = ColumnValueInCluster(
-              fm, cc.column_of[static_cast<size_t>(pos)], it.codes(), cc.intra_flat, 0,
-              &key_scratch);
+          values[static_cast<size_t>(pos)] = ColumnValueInCluster(fm, cc, pos, it.codes(), 0);
         }
       }
     }
@@ -410,9 +352,7 @@ void ClusterRightMultiply(const FactorizedMatrix& fm, const std::vector<int>& co
       int32_t child_code = child_level.value[it.child_node_begin() + child];
       double value = base;
       for (int pos : cc.intra) {
-        value += ColumnValueInCluster(fm, cols[static_cast<size_t>(pos)], it.codes(),
-                                      cc.intra_flat, child_code, &key_scratch) *
-                 b_row[pos];
+        value += ColumnValueInCluster(fm, cc, pos, it.codes(), child_code) * b_row[pos];
       }
       (*out)[static_cast<size_t>(it.row_begin() + child)] = value;
     }

@@ -6,7 +6,9 @@
 // attribute order they are contiguous row ranges, enumerated here without
 // materialising anything. Within a cluster all inter-cluster columns are
 // constant, so a cluster's gram / left / right products reduce to the
-// cluster size, the intra-column child sums, and O(q^2) scalar work.
+// cluster size, the intra-column child sums, and O(q^2) scalar work. Every
+// column must bind a single attribute; multi-attribute features (Appendix H)
+// take the dense backend.
 
 #ifndef REPTILE_FMATRIX_CLUSTER_OPS_H_
 #define REPTILE_FMATRIX_CLUSTER_OPS_H_
@@ -16,7 +18,6 @@
 #include <vector>
 
 #include "factor/frep.h"
-#include "factor/row_iterator.h"
 #include "linalg/matrix.h"
 
 namespace reptile {

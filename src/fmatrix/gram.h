@@ -22,9 +22,9 @@
 namespace reptile {
 
 /// Computes X^T X (m x m). Requires local aggregates for each tree (for the
-/// same-hierarchy COF/ancestor tables). Columns involving multi-attribute
-/// features are computed through a single row-enumeration pass (Appendix H
-/// hybrid path); all other cells use the closed-form aggregates.
+/// same-hierarchy COF/ancestor tables) and single-attribute columns only:
+/// multi-attribute features (Appendix H) are materialised by the dense
+/// backend instead.
 Matrix FactorizedGram(const FactorizedMatrix& fm, const DecomposedAggregates& agg);
 
 /// Leaf-weighted column sum WS = sum_node lc(node) * f(value(node)) for a

@@ -1,11 +1,11 @@
-// Factorised left multiplication A · X (paper Section 4.2.2, Algorithm 3).
+// Factorised left multiplication r^T X (paper Section 4.2.2, Algorithm 3).
 //
-// A is a dense q x n matrix (n = virtual rows of X). Each column of X is a
+// r is a dense length-n vector (n = virtual rows of X). Each column of X is a
 // block-repetitive pattern fully described by the decomposed aggregates:
 // within one repetition, each node value occupies lc(node) * suffix
-// consecutive rows. Prefix sums over each row of A turn every block into an
-// O(1) range sum, giving total cost O(q * n) — optimal, since the input A is
-// itself q x n.
+// consecutive rows. Prefix sums over r turn every block into an O(1) range
+// sum, giving total cost O(n) — optimal, since the input r is itself of
+// length n. Every column must bind a single attribute.
 
 #ifndef REPTILE_FMATRIX_LEFT_MULT_H_
 #define REPTILE_FMATRIX_LEFT_MULT_H_
@@ -13,15 +13,11 @@
 #include <vector>
 
 #include "factor/frep.h"
-#include "linalg/matrix.h"
 
 namespace reptile {
 
-/// Computes A · X, returning a dense q x m matrix.
-Matrix FactorizedLeftMultiply(const FactorizedMatrix& fm, const Matrix& a);
-
-/// Computes X^T r for a length-n vector r (one row of the general case),
-/// returning an m-vector. This is the EM inner-loop form.
+/// Computes X^T r for a length-n vector r, returning an m-vector. This is
+/// the EM inner-loop form.
 std::vector<double> FactorizedVecLeftMultiply(const FactorizedMatrix& fm,
                                               const std::vector<double>& r);
 

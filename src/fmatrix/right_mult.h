@@ -1,9 +1,12 @@
-// Factorised right multiplication X · B (paper Section 4.2.2, Algorithm 4).
+// Factorised right multiplication X · beta (paper Section 4.2.2, Algorithm 4).
 //
-// The output is n x p and has no redundancy to exploit, so it is
-// materialised; the optimization is on the input side: vertically adjacent
-// rows of X overlap except in the few attributes that changed, so each output
-// row is updated incrementally from its predecessor via the row iterator.
+// The output is an n-vector with no redundancy to exploit, so it is
+// materialised; the optimization is on the input side. Every column binds one
+// attribute of one tree, so a row's value is a sum of per-tree terms, each
+// fixed by that tree's leaf. One cursor pass per tree computes its
+// leaf-contribution block (sharing the partial sums of common ancestors), and
+// the blocks combine by the rows' nested repetition: one addition per output
+// value, independent of the number of columns.
 
 #ifndef REPTILE_FMATRIX_RIGHT_MULT_H_
 #define REPTILE_FMATRIX_RIGHT_MULT_H_
@@ -11,15 +14,11 @@
 #include <vector>
 
 #include "factor/frep.h"
-#include "linalg/matrix.h"
 
 namespace reptile {
 
-/// Computes X · B (B is m x p), returning a dense n x p matrix.
-Matrix FactorizedRightMultiply(const FactorizedMatrix& fm, const Matrix& b);
-
-/// Computes X · beta for a coefficient vector (p = 1), returning an n-vector.
-/// This is the EM inner-loop form.
+/// Computes X · beta for a coefficient vector, returning an n-vector. This
+/// is the EM inner-loop form.
 std::vector<double> FactorizedVecRightMultiply(const FactorizedMatrix& fm,
                                                const std::vector<double>& beta);
 

@@ -209,21 +209,15 @@ Result<ModelSpec> ParseModelSpec(const JsonValue& value, const std::string& cont
   }
   spec.backend = *parsed_backend;
 
-  // Omitted = RandomPolicy::kDefault: inherit the session's policy instead
-  // of forcing one — the lone ModelSpec field with an inheriting default.
-  if (const JsonValue* policy = value.Find("random_effects")) {
-    if (!policy->is_string()) {
-      return WrongType(context + ".random_effects", "a string", *policy);
-    }
-    std::optional<ModelSpec::RandomPolicy> parsed_policy =
-        ModelSpec::ParseRandomPolicy(policy->string_value());
-    if (!parsed_policy.has_value()) {
-      return Status::InvalidArgument("unknown " + context + ".random_effects \"" +
-                                     policy->string_value() +
-                                     "\" (expected one of: intercepts, all)");
-    }
-    spec.random_effects = *parsed_policy;
+  Result<std::string> policy = StringField(value, context, "random_effects", false,
+                                           ModelSpec::RandomPolicyName(spec.random_effects));
+  if (!policy.ok()) return policy.status();
+  std::optional<ModelSpec::RandomPolicy> parsed_policy = ModelSpec::ParseRandomPolicy(*policy);
+  if (!parsed_policy.has_value()) {
+    return Status::InvalidArgument("unknown " + context + ".random_effects \"" + *policy +
+                                   "\" (expected one of: intercepts, all)");
   }
+  spec.random_effects = *parsed_policy;
 
   Result<int> em_iterations = IntField(value, context, "em_iterations", spec.em_iterations);
   if (!em_iterations.ok()) return em_iterations.status();

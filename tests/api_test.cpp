@@ -119,8 +119,6 @@ TEST(ApiSession, CreateValidatesOptions) {
     return Session::Create(MakeDroughtTable(), DroughtHierarchies(), options).status().code();
   };
   EXPECT_EQ(code_for(ExploreRequest().TopK(0)), StatusCode::kInvalidArgument);
-  EXPECT_EQ(code_for(ExploreRequest().RandomEffects("some")), StatusCode::kInvalidArgument);
-  EXPECT_EQ(code_for(ExploreRequest().DrillCache("lru")), StatusCode::kInvalidArgument);
   EXPECT_EQ(code_for(ExploreRequest().Model(ModelSpec().EmIterations(-1))),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(code_for(ExploreRequest().Model(ModelSpec().EmTolerance(-0.5))),

@@ -1,5 +1,7 @@
 // Tests for fmatrix/cluster_ops: the cluster iterator and the per-cluster
-// gram / left / right operators against dense per-cluster references.
+// gram / left / right operators against dense per-cluster references over
+// single-attribute random forests. The operators refuse multi-attribute
+// matrices, which the engine materialises instead.
 
 #include "common/rng.h"
 #include "fmatrix/cluster_ops.h"
@@ -67,6 +69,11 @@ TEST_P(ClusterOpsTest, GramAndLeftMatchDense) {
   for (int c = 0; c < rm.fm.num_cols(); ++c) {
     if (rng.Bernoulli(0.7) || c == 0) cols.push_back(c);
   }
+  if (!rm.fm.AllSingleAttribute()) {
+    EXPECT_DEATH(ForEachClusterGram(rm.fm, cols, &r, [](const ClusterData&) {}),
+                 "AllSingleAttribute");
+    return;
+  }
 
   int64_t clusters_seen = 0;
   ForEachClusterGram(rm.fm, cols, &r, [&](const ClusterData& data) {
@@ -110,6 +117,10 @@ TEST_P(ClusterOpsTest, RightMultiplyMatchesDense) {
   for (size_t i = 0; i < b.size(); ++i) b.mutable_data()[i] = rng.Normal(0, 1);
 
   std::vector<double> out(static_cast<size_t>(rm.fm.num_rows()), 0.0);
+  if (!rm.fm.AllSingleAttribute()) {
+    EXPECT_DEATH(ClusterRightMultiply(rm.fm, cols, b, &out), "AllSingleAttribute");
+    return;
+  }
   ClusterRightMultiply(rm.fm, cols, b, &out);
 
   for (int64_t row = 0; row < rm.fm.num_rows(); ++row) {
@@ -128,6 +139,8 @@ std::vector<ClusterParam> MakeParams() {
   for (int seed = 0; seed < 8; ++seed) {
     for (int h : {1, 2, 3}) params.push_back(ClusterParam{seed, h, 0});
   }
+  // Multi-attribute matrices: each operator refuses them (the engine sends
+  // such fits to the dense backend).
   for (int seed = 50; seed < 54; ++seed) params.push_back(ClusterParam{seed, 2, 2});
   return params;
 }
@@ -143,6 +156,11 @@ TEST_P(ClusterOpsTest, LeftOnlyMatchesDense) {
   std::vector<double> r = testutil::RandomVector(&rng, rm.fm.num_rows());
   std::vector<int> cols;
   for (int c = 0; c < rm.fm.num_cols(); ++c) cols.push_back(c);
+  if (!rm.fm.AllSingleAttribute()) {
+    EXPECT_DEATH(ForEachClusterLeft(rm.fm, cols, r, [](const ClusterData&) {}),
+                 "AllSingleAttribute");
+    return;
+  }
   int64_t clusters_seen = 0;
   ForEachClusterLeft(rm.fm, cols, r, [&](const ClusterData& data) {
     ++clusters_seen;

@@ -1,6 +1,8 @@
-// Equivalence tests for fmatrix/: materialisation, gram, left and right
-// multiplication against dense references, across random forests with and
-// without multi-attribute columns.
+// Equivalence tests for fmatrix/: materialisation against per-row feature
+// decoding (with and without multi-attribute columns), and the factorised
+// gram, left and right multiplication against dense references over
+// single-attribute random forests. The factorised operators refuse
+// multi-attribute matrices, which the engine materialises instead.
 
 #include "common/rng.h"
 #include "fmatrix/gram.h"
@@ -14,16 +16,31 @@ namespace reptile {
 namespace {
 
 TEST(Materialize, MatchesFeatureRows) {
-  Rng rng(2);
-  testutil::RandomMatrix rm = testutil::MakeRandomMatrix(&rng, 2, 3, 4, /*num_multi=*/1);
-  Matrix x = MaterializeMatrix(rm.fm);
-  ASSERT_EQ(static_cast<int64_t>(x.rows()), rm.fm.num_rows());
-  std::vector<double> row;
-  for (int64_t r = 0; r < rm.fm.num_rows(); ++r) {
-    rm.fm.FeatureRow(r, &row);
-    for (int c = 0; c < rm.fm.num_cols(); ++c) {
-      EXPECT_DOUBLE_EQ(x(static_cast<size_t>(r), static_cast<size_t>(c)), row[c])
-          << "row " << r << " col " << c;
+  struct Case {
+    int seed;
+    int hierarchies;
+    int num_multi;
+  };
+  std::vector<Case> cases = {{2, 2, 1}};
+  for (int seed = 100; seed < 104; ++seed) {
+    cases.push_back(Case{seed, 2, 1});
+    cases.push_back(Case{seed, 2, 2});
+  }
+  for (const Case& c : cases) {
+    SCOPED_TRACE("seed " + std::to_string(c.seed) + " multi " + std::to_string(c.num_multi));
+    Rng rng(c.seed);
+    testutil::RandomMatrix rm =
+        testutil::MakeRandomMatrix(&rng, c.hierarchies, 3, 4, c.num_multi);
+    EXPECT_FALSE(rm.fm.AllSingleAttribute());
+    Matrix x = MaterializeMatrix(rm.fm);
+    ASSERT_EQ(static_cast<int64_t>(x.rows()), rm.fm.num_rows());
+    std::vector<double> row;
+    for (int64_t r = 0; r < rm.fm.num_rows(); ++r) {
+      rm.fm.FeatureRow(r, &row);
+      for (int col = 0; col < rm.fm.num_cols(); ++col) {
+        EXPECT_DOUBLE_EQ(x(static_cast<size_t>(r), static_cast<size_t>(col)), row[col])
+            << "row " << r << " col " << col;
+      }
     }
   }
 }
@@ -42,6 +59,10 @@ TEST_P(FmatrixOpsTest, GramMatchesDense) {
   testutil::RandomMatrix rm =
       testutil::MakeRandomMatrix(&rng, p.hierarchies, 3, 4, p.num_multi);
   DecomposedAggregates agg(&rm.fm, rm.LocalPtrs());
+  if (!rm.fm.AllSingleAttribute()) {
+    EXPECT_DEATH(FactorizedGram(rm.fm, agg), "AllSingleAttribute");
+    return;
+  }
   Matrix x = MaterializeMatrix(rm.fm);
   Matrix expected = x.Transposed().Multiply(x);
   Matrix actual = FactorizedGram(rm.fm, agg);
@@ -54,18 +75,17 @@ TEST_P(FmatrixOpsTest, LeftMultiplyMatchesDense) {
   Rng rng(p.seed + 1000);
   testutil::RandomMatrix rm =
       testutil::MakeRandomMatrix(&rng, p.hierarchies, 3, 4, p.num_multi);
+  std::vector<double> r = testutil::RandomVector(&rng, rm.fm.num_rows());
+  if (!rm.fm.AllSingleAttribute()) {
+    EXPECT_DEATH(FactorizedVecLeftMultiply(rm.fm, r), "AllSingleAttribute");
+    return;
+  }
   Matrix x = MaterializeMatrix(rm.fm);
-  Matrix a(2, static_cast<size_t>(rm.fm.num_rows()));
-  for (size_t i = 0; i < a.size(); ++i) a.mutable_data()[i] = rng.Normal(0, 1);
-  Matrix expected = a.Multiply(x);
-  Matrix actual = FactorizedLeftMultiply(rm.fm, a);
-  EXPECT_TRUE(actual.ApproxEquals(expected, 1e-8));
-
-  // Vector form agrees with the matrix form.
-  std::vector<double> r = a.Row(0);
+  Matrix expected = Matrix::RowVector(r).Multiply(x);
   std::vector<double> xtr = FactorizedVecLeftMultiply(rm.fm, r);
+  ASSERT_EQ(xtr.size(), static_cast<size_t>(rm.fm.num_cols()));
   for (int c = 0; c < rm.fm.num_cols(); ++c) {
-    EXPECT_NEAR(xtr[c], expected(0, static_cast<size_t>(c)), 1e-8);
+    EXPECT_NEAR(xtr[static_cast<size_t>(c)], expected(0, static_cast<size_t>(c)), 1e-8);
   }
 }
 
@@ -74,15 +94,15 @@ TEST_P(FmatrixOpsTest, RightMultiplyMatchesDense) {
   Rng rng(p.seed + 2000);
   testutil::RandomMatrix rm =
       testutil::MakeRandomMatrix(&rng, p.hierarchies, 3, 4, p.num_multi);
+  std::vector<double> beta = testutil::RandomVector(&rng, rm.fm.num_cols());
+  if (!rm.fm.AllSingleAttribute()) {
+    EXPECT_DEATH(FactorizedVecRightMultiply(rm.fm, beta), "AllSingleAttribute");
+    return;
+  }
   Matrix x = MaterializeMatrix(rm.fm);
-  Matrix b(static_cast<size_t>(rm.fm.num_cols()), 2);
-  for (size_t i = 0; i < b.size(); ++i) b.mutable_data()[i] = rng.Normal(0, 1);
-  Matrix expected = x.Multiply(b);
-  Matrix actual = FactorizedRightMultiply(rm.fm, b);
-  EXPECT_TRUE(actual.ApproxEquals(expected, 1e-8));
-
-  std::vector<double> beta = b.Column(0);
+  Matrix expected = x.Multiply(Matrix::ColumnVector(beta));
   std::vector<double> xb = FactorizedVecRightMultiply(rm.fm, beta);
+  ASSERT_EQ(static_cast<int64_t>(xb.size()), rm.fm.num_rows());
   for (int64_t r = 0; r < rm.fm.num_rows(); ++r) {
     EXPECT_NEAR(xb[static_cast<size_t>(r)], expected(static_cast<size_t>(r), 0), 1e-8);
   }
@@ -95,7 +115,9 @@ std::vector<OpsParam> MakeParams() {
       params.push_back(OpsParam{seed, h, 0});
     }
   }
-  // Multi-attribute (hybrid) coverage.
+  // Multi-attribute matrices: each operator refuses them (the engine sends
+  // such fits to the dense backend; Materialize.MatchesFeatureRows covers
+  // their materialisation).
   for (int seed = 100; seed < 104; ++seed) {
     params.push_back(OpsParam{seed, 2, 1});
     params.push_back(OpsParam{seed, 2, 2});

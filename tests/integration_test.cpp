@@ -51,7 +51,7 @@ TEST(Integration, CovidTexasMissingReportsDetected) {
   Table lag7 = MakeCovidLagTable(panel, issue.measure, 7);
 
   EngineOptions options;
-  options.random_effects = RandomEffects::kAllFeatures;
+  options.model = ModelSpec().AllRandomEffects();
   Engine engine(&panel, options);
   engine.ExcludeFromRandomEffects("state");
   for (const auto& [name, lag] : {std::make_pair("lag1", &lag1),
@@ -106,6 +106,63 @@ TEST(Integration, FistSessionTwoSteps) {
   EXPECT_FALSE(engine.CanDrill(0));
   // Only the time hierarchy is exhausted too (depth 1 of 1).
   EXPECT_FALSE(engine.CanDrill(1));
+}
+
+TEST(Integration, MultiAttributeAuxiliaryAutoMatchesDense) {
+  // With year committed and geo drilled to district, the village candidate
+  // binds the {village, year} rainfall auxiliary: a multi-attribute feature,
+  // which only the dense backend computes. Auto() must route that fit there
+  // and answer exactly as a forced Dense() does.
+  FistStudy study = MakeFistStudy();
+  const FistComplaintCase& c = study.cases[0];
+  auto recommend = [&](ModelSpec spec, bool with_rainfall) {
+    EngineOptions options;
+    options.model = spec;
+    Engine engine(&study.dataset, options);
+    if (with_rainfall) {
+      AuxiliarySpec aux;
+      aux.name = "rainfall";
+      aux.table = &study.rainfall;
+      aux.join_attrs = {"village", "year"};
+      aux.measure = "rainfall";
+      engine.RegisterAuxiliary(std::move(aux));
+    }
+    engine.CommitDrillDown(1);
+    engine.CommitDrillDown(0);
+    engine.CommitDrillDown(0);
+    return engine.RecommendDrillDown(c.complaint);
+  };
+  Recommendation automatic = recommend(ModelSpec().Auto(), true);
+  Recommendation dense = recommend(ModelSpec().Dense(), true);
+  ASSERT_EQ(automatic.candidates.size(), dense.candidates.size());
+  EXPECT_EQ(automatic.best_index, dense.best_index);
+  EXPECT_EQ(automatic.best().attribute, "village");
+  for (size_t i = 0; i < automatic.candidates.size(); ++i) {
+    const HierarchyRecommendation& a = automatic.candidates[i];
+    const HierarchyRecommendation& d = dense.candidates[i];
+    EXPECT_EQ(a.attribute, d.attribute);
+    EXPECT_EQ(a.best_score, d.best_score);
+    ASSERT_EQ(a.top_groups.size(), d.top_groups.size());
+    for (size_t g = 0; g < a.top_groups.size(); ++g) {
+      EXPECT_EQ(a.top_groups[g].description, d.top_groups[g].description);
+      EXPECT_EQ(a.top_groups[g].score, d.top_groups[g].score) << a.top_groups[g].description;
+    }
+  }
+
+  // The auxiliary really enters the village model: without it, the scores
+  // change.
+  Recommendation plain = recommend(ModelSpec().Auto(), false);
+  const std::vector<GroupRecommendation>& with_aux = automatic.best().top_groups;
+  const std::vector<GroupRecommendation>& without = plain.best().top_groups;
+  ASSERT_EQ(plain.best().attribute, "village");
+  ASSERT_FALSE(with_aux.empty());
+  ASSERT_FALSE(without.empty());
+  bool differs = with_aux.size() != without.size();
+  for (size_t g = 0; !differs && g < with_aux.size(); ++g) {
+    differs = with_aux[g].description != without[g].description ||
+              with_aux[g].score != without[g].score;
+  }
+  EXPECT_TRUE(differs);
 }
 
 TEST(Integration, DrillModeInvariance) {

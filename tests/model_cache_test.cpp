@@ -385,7 +385,7 @@ TEST(ModelCache, AuxiliaryRegistrationNeverReusesPreAuxModels) {
 TEST(ModelCache, RandomEffectExclusionInvalidatesLookups) {
   DatasetHandle handle = PreparePanel();
   ComplaintSpec complaint = ComplaintSpec::TooHigh("std", "severity").Where("year", "y1");
-  ExploreRequest all_effects = ExploreRequest().RandomEffects("all");
+  ExploreRequest all_effects = ExploreRequest().Model(ModelSpec().AllRandomEffects());
 
   Session a = OpenPanelSession(handle, all_effects);
   ASSERT_TRUE(a.Recommend(complaint).ok());
@@ -409,7 +409,7 @@ TEST(ModelCache, RandomEffectPolicyPartitionsKeys) {
   ASSERT_TRUE(intercepts.Recommend(complaint).ok());
   ASSERT_GT(intercepts.models_trained(), 0);
 
-  Session all = OpenPanelSession(handle, ExploreRequest().RandomEffects("all"));
+  Session all = OpenPanelSession(handle, ExploreRequest().Model(ModelSpec().AllRandomEffects()));
   ASSERT_TRUE(all.Recommend(complaint).ok());
   EXPECT_GT(all.models_trained(), 0);
   EXPECT_EQ(all.fit_cache_hits(), 0);

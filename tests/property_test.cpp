@@ -1,7 +1,7 @@
 // Property-based tests: randomized invariants spanning modules.
 //
-//  * Factorised operator stack == dense reference over deep random forests
-//    (wider configurations than the per-module tests).
+//  * Factorised operator stack == dense reference over deep single-attribute
+//    random forests (wider configurations than the per-module tests).
 //  * EM monotonicity: the marginal log-likelihood never decreases across
 //    iterations (the defining property of EM).
 //  * Ranker identity: repairing a group to its observed statistics leaves
@@ -34,8 +34,7 @@ TEST_P(DeepForestTest, FullOperatorStackMatchesDense) {
   Rng rng(GetParam());
   // Deeper and wider than the unit tests: up to 4 hierarchies, depth 4.
   int hierarchies = static_cast<int>(rng.UniformInt(1, 4));
-  testutil::RandomMatrix rm = testutil::MakeRandomMatrix(&rng, hierarchies, 4, 5,
-                                                         /*num_multi=*/GetParam() % 2);
+  testutil::RandomMatrix rm = testutil::MakeRandomMatrix(&rng, hierarchies, 4, 5);
   if (rm.fm.num_rows() > 5000) GTEST_SKIP() << "cross product too large for dense check";
   DecomposedAggregates agg(&rm.fm, rm.LocalPtrs());
   Matrix x = MaterializeMatrix(rm.fm);

@@ -1182,6 +1182,8 @@ TEST_F(ServerTest, OptionsModelRejectsUnknownAndWrongTypedFields) {
               "INVALID_ARGUMENT");
   ExpectError(client.Post("/v1/recommend", prefix + R"({"fit_cache":"yes"}}})"), 400,
               "INVALID_ARGUMENT");
+  ExpectError(client.Post("/v1/recommend", prefix + R"({"random_effects":1}}})"), 400,
+              "INVALID_ARGUMENT");
   ExpectError(client.Post("/v1/recommend", prefix + R"(["dense"]}})"), 400,
               "INVALID_ARGUMENT");
 
@@ -1191,6 +1193,8 @@ TEST_F(ServerTest, OptionsModelRejectsUnknownAndWrongTypedFields) {
   ExpectError(bad_backend, 400, "INVALID_ARGUMENT");
   EXPECT_NE(bad_backend->body.find("gpu"), std::string::npos);
   ExpectError(client.Post("/v1/recommend", prefix + R"({"kind":"deep_net"}}})"), 400,
+              "INVALID_ARGUMENT");
+  ExpectError(client.Post("/v1/recommend", prefix + R"({"random_effects":"some"}}})"), 400,
               "INVALID_ARGUMENT");
   ExpectError(client.Post("/v1/recommend",
                           prefix + R"({"extra_repair_stats":["median"]}}})"),
@@ -1307,6 +1311,40 @@ TEST_F(ServerTest, SessionCreateAcceptsModelOptions) {
   ExpectError(client.Post("/v1/sessions",
                           R"({"dataset":"panel","options":{"model":{"backend":"gpu"}}})"),
               400, "INVALID_ARGUMENT");
+}
+
+// A per-call options.model replaces the session's spec wholesale: a field it
+// omits takes the ModelSpec default, not the session's value. That holds for
+// random_effects as for every other field.
+TEST_F(ServerTest, PerCallModelReplacesSessionRandomEffects) {
+  HttpClient client = Client();
+  Result<HttpClientResponse> created = client.Post(
+      "/v1/sessions", R"({"dataset":"panel","committed":{"time":1},)"
+                      R"("options":{"model":{"random_effects":"all"}}})");
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  ASSERT_EQ(created->status, 201) << created->body;
+  Result<JsonValue> session = ParseJson(created->body);
+  ASSERT_TRUE(session.ok());
+  std::string id = session->Find("session")->string_value();
+
+  auto random_effects = [&](const std::string& options) {
+    Result<HttpClientResponse> response = client.Post(
+        "/v1/recommend", R"({"session":")" + id +
+                             R"(","complaint":{"aggregate":"mean","measure":"severity",)"
+                             R"("where":[{"column":"year","value":"y1"}]})" +
+                             options + "}");
+    EXPECT_TRUE(response.ok()) << response.status().ToString();
+    if (!response.ok()) return std::string();
+    EXPECT_EQ(response->status, 200) << response->body;
+    Result<JsonValue> parsed = ParseJson(response->body);
+    EXPECT_TRUE(parsed.ok());
+    if (!parsed.ok() || parsed->Find("model") == nullptr) return std::string();
+    return parsed->Find("model")->Find("random_effects")->string_value();
+  };
+  EXPECT_EQ(random_effects(""), "all");
+  EXPECT_EQ(random_effects(R"(,"options":{"model":{"backend":"auto"}})"), "intercepts");
+  // The per-call override leaves the session's own spec untouched.
+  EXPECT_EQ(random_effects(""), "all");
 }
 
 // ---------------------------------------------------------------------------
